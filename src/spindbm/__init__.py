@@ -13,7 +13,8 @@ from .bench import (ALL_ARMS, BenchArm, BenchRecord, emit_csv,
                     run_coupling_sweep, summarize)
 from .coupling import (CoupledRun, CouplingTruncatedError, coupling_time_stats,
                        gibbs_couple_joint, mh_couple_joint, mh_couple_posterior,
-                       mh_coupled_trajectory, mh_step, telescope_estimate)
+                       mh_coupled_trajectory, mh_step, telescope_estimate,
+                       telescope_terms)
 from .data import (BinaryDataset, Mask, binarize_u8, debinarize_u8,
                    load_idx_images, lower_half_mask, rectangle_mask,
                    spins_to_images, synthetic_patterns, to_spin_dataset)
@@ -22,8 +23,9 @@ from .model import (CheckpointError, DbmParams, DbmShape, DimensionError,
                     energy_even_marginal, energy_odd_marginal,
                     energy_odd_posterior, grad_energy,
                     grad_energy_even_marginal, grad_energy_odd_marginal,
-                    grad_energy_odd_posterior, load_params, local_fields_even,
-                    local_fields_odd, logcosh, save_params, uniform_spins)
+                    grad_energy_odd_posterior, grad_from_rows, load_params,
+                    local_fields_even, local_fields_odd, logcosh, save_params,
+                    uniform_spins)
 from .oracle import (ExactDistribution, SizeCapError, enumerate_joint,
                      enumerate_posterior, exact_grad_loglik, exact_loglik,
                      exact_mh_transition_matrix)

@@ -320,21 +320,22 @@ def gibbs_couple_joint(params: DbmParams, x0: JointState,
 # telescoping estimator and summaries
 # ---------------------------------------------------------------------------
 
-def telescope_estimate(run: CoupledRun, grad_fn) -> GradEstimate:
-    """grad_fn(x_0) + sum_{t=1}^{tau-1} [grad_fn(x_t) - grad_fn(y_{t-1})].
+def telescope_terms(run: CoupledRun) -> list:
+    """The telescoping sum f(x_0) + sum_{t=1}^{tau-1} [f(x_t) - f(y_{t-1})] as
+    (distinct state, net coefficient) pairs.
 
-    Unbiased for the stationary expectation of grad_fn; requires a
-    non-truncated run with its trajectory recorded. Rejected proposals make
-    chain states repeat, so the sum is evaluated as one grad_fn call per
-    distinct state with an integer net coefficient. grad_fn must return a
-    fresh GradEstimate each call (the result may be accumulated in place).
+    Rejected proposals make chain states repeat, so the sum collapses to one
+    term per distinct state with an integer net coefficient; terms whose
+    coefficient cancels to zero are left out. The coefficients always sum
+    to 1, so at least one term remains. Requires a non-truncated run with
+    its trajectory recorded.
     """
     if run.truncated:
         raise CouplingTruncatedError("telescoping sum over a truncated run would be biased")
     if not run.has_trajectory:
         raise ValueError("run was recorded without states (keep_states=False)")
     if run.tau == 1:
-        return grad_fn(run.x_states[0])
+        return [(run.x_states[0], 1)]
     coeffs = {}
 
     def add(state, c):
@@ -348,16 +349,23 @@ def telescope_estimate(run: CoupledRun, grad_fn) -> GradEstimate:
     for t in range(1, run.tau):
         add(run.x_states[t], 1)
         add(run.y_states[t - 1], -1)
-    g = None
-    for state, c in coeffs.values():
-        if c == 0:
-            continue
-        if g is None:
-            g = grad_fn(state).scale(float(c))
-        else:
-            g.add_scaled(grad_fn(state), float(c))
-    if g is None:  # every coefficient cancelled; the sum is exactly zero
-        g = grad_fn(run.x_states[0]).scale(0.0)
+    return [(state, c) for state, c in coeffs.values() if c != 0]
+
+
+def telescope_estimate(run: CoupledRun, grad_fn) -> GradEstimate:
+    """grad_fn(x_0) + sum_{t=1}^{tau-1} [grad_fn(x_t) - grad_fn(y_{t-1})].
+
+    Unbiased for the stationary expectation of grad_fn; evaluated as one
+    grad_fn call per term of telescope_terms(run). grad_fn must return a
+    fresh GradEstimate each call (the result may be accumulated in place).
+    """
+    terms = telescope_terms(run)
+    state, c = terms[0]
+    g = grad_fn(state)
+    if c != 1:
+        g.scale(float(c))
+    for state, c in terms[1:]:
+        g.add_scaled(grad_fn(state), float(c))
     return g
 
 

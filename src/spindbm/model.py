@@ -260,20 +260,35 @@ class GradEstimate:
         return float(np.sqrt(self.vec @ self.vec))
 
 
-def _filled_grad(v_like: np.ndarray, h1_like: np.ndarray, h2_like: np.ndarray) -> GradEstimate:
-    """Negated outer products and copies shared by all four energy gradients."""
-    n_v, n_h1, n_h2 = len(v_like), len(h1_like), len(h2_like)
+def grad_from_rows(V: np.ndarray, H1: np.ndarray, H2: np.ndarray, c: np.ndarray) -> GradEstimate:
+    """sum_k c_k * grad E(V_k, H1_k, H2_k) over K stacked rows, one GEMM per weight.
+
+    dW1 = -(c V)'H1 and dW2 = -(c H1)'H2 are written straight into the flat
+    gradient vector; the biases are -c'V, -c'H1 and -c'H2. Rows may hold
+    tanh-of-field expectations in place of spins (the marginalized
+    integrands). K = 0 gives the zero gradient; one row with c = 1 is the
+    plain energy gradient of that state.
+    """
+    n_v, n_h1, n_h2 = V.shape[1], H1.shape[1], H2.shape[1]
     o1 = n_v * n_h1
     o2 = o1 + n_h1 * n_h2
-    vec = np.empty(o2 + n_v + n_h1 + n_h2)
-    np.multiply(v_like[:, None], h1_like[None, :], out=vec[:o1].reshape(n_v, n_h1))
-    if n_h2:
-        np.multiply(h1_like[:, None], h2_like[None, :], out=vec[o1:o2].reshape(n_h1, n_h2))
-        vec[o2 + n_v + n_h1:] = h2_like
-    vec[o2:o2 + n_v] = v_like
-    vec[o2 + n_v:o2 + n_v + n_h1] = h1_like
-    vec *= -1.0
+    o3 = o2 + n_v
+    vec = np.empty(o3 + n_h1 + n_h2)
+    nc = -np.asarray(c, dtype=np.float64)
+    np.matmul((V * nc[:, None]).T, H1, out=vec[:o1].reshape(n_v, n_h1))
+    np.matmul((H1 * nc[:, None]).T, H2, out=vec[o1:o2].reshape(n_h1, n_h2))
+    np.matmul(nc, V, out=vec[o2:o3])
+    np.matmul(nc, H1, out=vec[o3:o3 + n_h1])
+    np.matmul(nc, H2, out=vec[o3 + n_h1:])
     return GradEstimate((n_v, n_h1, n_h2), vec)
+
+
+_ONE = np.ones(1)
+
+
+def _one_row(v_like: np.ndarray, h1_like: np.ndarray, h2_like: np.ndarray) -> GradEstimate:
+    """Gradient of one (v, h1, h2)-like row: the K = 1 case of grad_from_rows."""
+    return grad_from_rows(v_like[None, :], h1_like[None, :], h2_like[None, :], _ONE)
 
 
 def _check_joint(params: DbmParams, v, h1, h2):
@@ -368,25 +383,25 @@ def grad_energy(params: DbmParams, x: JointState) -> GradEstimate:
 
 
 def grad_energy_vhh(v, h1, h2) -> GradEstimate:
-    return _filled_grad(v, h1, h2)
+    return _one_row(v, h1, h2)
 
 
 def grad_energy_even_marginal(params: DbmParams, v: np.ndarray, h2: np.ndarray) -> GradEstimate:
     """Gradient of energy_even_marginal: h1 is replaced by tanh of its field."""
-    return _filled_grad(v, np.tanh(local_fields_odd(params, v, h2)), h2)
+    return _one_row(v, np.tanh(local_fields_odd(params, v, h2)), h2)
 
 
 def grad_energy_odd_marginal(params: DbmParams, h1: np.ndarray) -> GradEstimate:
     """Gradient of energy_odd_marginal: v and h2 replaced by tanh of their fields."""
     a_v, a_h2 = local_fields_even(params, h1)
-    return _filled_grad(np.tanh(a_v), h1, np.tanh(a_h2))
+    return _one_row(np.tanh(a_v), h1, np.tanh(a_h2))
 
 
 def grad_energy_odd_posterior(params: DbmParams, v: np.ndarray, h1: np.ndarray) -> GradEstimate:
     """Gradient of energy_odd_posterior: only h2 is replaced by tanh of its field."""
     if len(v) != params.W1.shape[0] or len(h1) != params.W1.shape[1]:
         raise DimensionError("v/h1 lengths do not match W1")
-    return _filled_grad(v, h1, np.tanh(params.W2.T @ h1 + params.b_h2))
+    return _one_row(v, h1, np.tanh(params.W2.T @ h1 + params.b_h2))
 
 
 # ---------------------------------------------------------------------------

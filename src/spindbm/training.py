@@ -25,11 +25,14 @@ import numpy as np
 from . import oracle
 from .coupling import (DEFAULT_TAU_MAX_MH, CouplingTruncatedError,
                        mh_couple_joint, mh_couple_posterior, mh_step,
-                       telescope_estimate)
-from .model import (DbmParams, DbmShape, GradEstimate, HiddenState, JointState,
-                    grad_energy_even_marginal, grad_energy_odd_marginal,
-                    grad_energy_odd_posterior, grad_energy_vhh, load_params,
-                    save_params, uniform_spins)
+                       telescope_terms)
+from .model import (DbmParams, DbmShape, GradEstimate, JointState, grad_energy_vhh,
+                    grad_from_rows, load_params, save_params, uniform_spins)
+# Not called here; perfbench/tracer.py wraps these names in this module,
+# so they stay importable from it.
+from .coupling import telescope_estimate  # noqa: F401
+from .model import (grad_energy_even_marginal, grad_energy_odd_marginal,  # noqa: F401
+                    grad_energy_odd_posterior)
 from .search import (gibbs_sweep_joint, gibbs_sweep_posterior,
                      local_search_clamped, local_search_joint,
                      local_search_posterior)
@@ -39,7 +42,7 @@ OPTIMIZERS = ("sgd", "adam", "amsgrad")
 TRUNCATION_POLICIES = ("error", "drop_sample")
 
 LOG_COLUMNS = ("step", "mean_tau_pos", "mean_tau_neg", "mean_T_pos",
-               "mean_T_neg", "grad_norm", "wall_ms")
+               "mean_T_neg", "grad_norm", "wall_ms", "dropped")  # append-only
 
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:
@@ -140,6 +143,15 @@ class TrainConfig:
 # optimizers
 # ---------------------------------------------------------------------------
 
+def _shifted(params: DbmParams, step: np.ndarray) -> DbmParams:
+    """params + step as a new DbmParams, built in place in step's memory."""
+    o = 0
+    for a in params.arrays():
+        step[o:o + a.size] += a.ravel()
+        o += a.size
+    return DbmParams.from_vector(params.shape, step)
+
+
 class SgdOptimizer:
     """Plain stochastic gradient ascent."""
 
@@ -147,14 +159,15 @@ class SgdOptimizer:
         self.lr = learning_rate
 
     def update(self, params: DbmParams, grad: GradEstimate) -> DbmParams:
-        new = params.copy()
-        for a, g in zip(new.arrays(), grad.arrays()):
-            a += self.lr * g
-        return new
+        return _shifted(params, grad.vec * self.lr)
 
 
 class AdamOptimizer:
-    """Adam / AMSGrad ascent with bias-corrected moments."""
+    """Adam / AMSGrad ascent with bias-corrected moments.
+
+    The moments are flat vectors in GradEstimate order, updated in place
+    through one preallocated scratch vector; v_max exists only for AMSGrad.
+    """
 
     def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8, amsgrad: bool = False):
@@ -165,26 +178,37 @@ class AdamOptimizer:
         self.m = None
         self.v = None
         self.v_max = None
+        self._buf = None
 
     def update(self, params: DbmParams, grad: GradEstimate) -> DbmParams:
+        g = grad.vec
         if self.m is None:
-            self.m = [np.zeros_like(a) for a in params.arrays()]
-            self.v = [np.zeros_like(a) for a in params.arrays()]
-            self.v_max = [np.zeros_like(a) for a in params.arrays()]
+            self.m = np.zeros_like(g)
+            self.v = np.zeros_like(g)
+            self.v_max = np.zeros_like(g) if self.amsgrad else None
+            self._buf = np.empty_like(g)
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        new = params.copy()
-        for i, (a, g) in enumerate(zip(new.arrays(), grad.arrays())):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / c1
-            v_hat = self.v[i] / c2
-            if self.amsgrad:
-                np.maximum(self.v_max[i], v_hat, out=self.v_max[i])
-                v_hat = self.v_max[i]
-            a += self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        return new
+        m, v, buf = self.m, self.v, self._buf
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=buf)
+        m += buf
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=buf)
+        buf *= g
+        v += buf
+        np.divide(v, c2, out=buf)  # v_hat
+        if self.amsgrad:
+            np.maximum(self.v_max, buf, out=self.v_max)
+            np.sqrt(self.v_max, out=buf)
+        else:
+            np.sqrt(buf, out=buf)
+        buf += self.eps
+        step = np.divide(m, c1)  # m_hat; becomes the new parameter vector
+        step *= self.lr
+        step /= buf
+        return _shifted(params, step)
 
 
 def make_optimizer(cfg: TrainConfig):
@@ -197,30 +221,48 @@ def make_optimizer(cfg: TrainConfig):
 # phase estimators
 # ---------------------------------------------------------------------------
 
+def _stack(rows: list, n: int) -> np.ndarray:
+    return np.array(rows, dtype=np.float64).reshape(len(rows), n)
+
+
+def gradient_from_states(params: DbmParams, estimator: str, posterior: list, joint: list,
+                         scale: float = 1.0) -> GradEstimate:
+    """scale * sum of weight * integrand(state) over (v, h1, h2, weight) states.
+
+    posterior holds states of posterior chains (with the clamped v they were
+    drawn under), joint those of joint chains. All of them are stacked into
+    rows for a single model.grad_from_rows call. The plain integrand is the
+    energy gradient at the state. The marginalized one is the mean of two
+    Rao-Blackwellized rows: (v, tanh field of h1, h2), and then
+    (v, h1, tanh field of h2) for a posterior state or
+    (tanh field of v, h1, tanh field of h2) for a joint state; each tanh
+    factor is one GEMM over the stacked states of its block.
+    """
+    s = params.shape
+    states = posterior + joint
+    V = _stack([st[0] for st in states], s.n_v)
+    H1 = _stack([st[1] for st in states], s.n_h1)
+    H2 = _stack([st[2] for st in states], s.n_h2)
+    w = np.array([st[3] for st in states], dtype=np.float64) * scale
+    if estimator == "plain":
+        return grad_from_rows(V, H1, H2, w)
+    n_pos = len(posterior)
+    T1 = np.tanh(V @ params.W1 + H2 @ params.W2.T + params.b_h1)
+    T2 = np.tanh(H1 @ params.W2 + params.b_h2)
+    Tv = np.tanh(H1[n_pos:] @ params.W1.T + params.b_v)
+    half = 0.5 * w
+    return grad_from_rows(np.concatenate([V, V[:n_pos], Tv]), np.concatenate([T1, H1]),
+                          np.concatenate([H2, T2]), np.concatenate([half, half]))
+
+
 def posterior_grad_fn(params: DbmParams, v: np.ndarray, estimator: str):
     """Gradient integrand for posterior-chain states (h1, h2)."""
-    if estimator == "plain":
-        return lambda h: grad_energy_vhh(v, h.h1, h.h2)
-
-    def marginalized(h: HiddenState) -> GradEstimate:
-        g = grad_energy_even_marginal(params, v, h.h2)
-        g.add_scaled(grad_energy_odd_posterior(params, v, h.h1), 1.0)
-        return g.scale(0.5)
-
-    return marginalized
+    return lambda h: gradient_from_states(params, estimator, [(v, h.h1, h.h2, 1.0)], [])
 
 
 def joint_grad_fn(params: DbmParams, estimator: str):
     """Gradient integrand for joint-chain states (v, h1, h2)."""
-    if estimator == "plain":
-        return lambda x: grad_energy_vhh(x.v, x.h1, x.h2)
-
-    def marginalized(x: JointState) -> GradEstimate:
-        g = grad_energy_even_marginal(params, x.v, x.h2)
-        g.add_scaled(grad_energy_odd_marginal(params, x.h1), 1.0)
-        return g.scale(0.5)
-
-    return marginalized
+    return lambda x: gradient_from_states(params, estimator, [], [(x.v, x.h1, x.h2, 1.0)])
 
 
 def positive_phase_run(params: DbmParams, v: np.ndarray, tau_max: int,
@@ -240,11 +282,35 @@ def negative_phase_run(params: DbmParams, tau_max: int, rng: np.random.Generator
     return run, sr.steps
 
 
+def _posterior_states(v: np.ndarray, run, sign: float) -> list:
+    return [(v, h.h1, h.h2, sign * c) for h, c in telescope_terms(run)]
+
+
+def _joint_states(run, sign: float) -> list:
+    return [(x.v, x.h1, x.h2, sign * c) for x, c in telescope_terms(run)]
+
+
+def _example_states(params: DbmParams, v: np.ndarray, tau_max: int,
+                   rng: np.random.Generator):
+    """One example's log-likelihood gradient estimate as weighted chain states.
+
+    Runs the positive phase, then the negative phase, on rng. Returns
+    (posterior, joint, (tau_pos, tau_neg, T_pos, T_neg)): the positive
+    phase's telescoping terms enter with weight -c, the negative phase's
+    with +c. A truncated positive run raises CouplingTruncatedError before
+    the negative phase starts.
+    """
+    prun, t_p = positive_phase_run(params, v, tau_max, rng)
+    posterior = _posterior_states(v, prun, -1.0)
+    nrun, t_n = negative_phase_run(params, tau_max, rng)
+    return posterior, _joint_states(nrun, 1.0), (prun.tau, nrun.tau, t_p, t_n)
+
+
 def positive_phase_estimate(params: DbmParams, v: np.ndarray, cfg: TrainConfig,
                             rng: np.random.Generator):
     """Unbiased estimate of E[grad E(v, h)] under the posterior: (g, tau, T)."""
     run, steps = positive_phase_run(params, v, cfg.tau_max, rng)
-    g = telescope_estimate(run, posterior_grad_fn(params, v, cfg.estimator))
+    g = gradient_from_states(params, cfg.estimator, _posterior_states(v, run, 1.0), [])
     return g, run.tau, steps
 
 
@@ -252,7 +318,7 @@ def negative_phase_estimate(params: DbmParams, cfg: TrainConfig,
                             rng: np.random.Generator):
     """Unbiased estimate of E[grad E(x)] under the joint law: (g, tau, T)."""
     run, steps = negative_phase_run(params, cfg.tau_max, rng)
-    g = telescope_estimate(run, joint_grad_fn(params, cfg.estimator))
+    g = gradient_from_states(params, cfg.estimator, [], _joint_states(run, 1.0))
     return g, run.tau, steps
 
 
@@ -274,7 +340,9 @@ def train_step(params: DbmParams, batch, cfg: TrainConfig, rng: np.random.Genera
 
     Each example contributes one positive-phase and one negative-phase
     coupling; their difference estimates the per-example log-likelihood
-    gradient and the batch mean drives the optimizer. grad_fn is a test
+    gradient and the batch mean drives the optimizer. The chain states of
+    the whole batch are weighted by +-coefficient / kept and turned into the
+    batch gradient by one gradient_from_states call. grad_fn is a test
     hook: when given, it replaces the whole per-example estimate with
     grad_fn(params, v).
 
@@ -282,42 +350,41 @@ def train_step(params: DbmParams, batch, cfg: TrainConfig, rng: np.random.Genera
     """
     if optimizer is None:
         optimizer = make_optimizer(cfg)
-    total = GradEstimate.zeros(params.shape)
-    taus_p, taus_n, ts_p, ts_n = [], [], [], []
-    kept = 0
-    dropped = 0
     rngs = rng.spawn(len(batch))
-    for v, sub in zip(batch, rngs):
-        if grad_fn is not None:
+    if grad_fn is not None:
+        total = GradEstimate.zeros(params.shape)
+        for v in batch:
             total.add_scaled(grad_fn(params, v), 1.0)
-            kept += 1
-            continue
+        total.scale(1.0 / len(batch))
+        return optimizer.update(params, total), StepMetrics(grad_norm=total.norm())
+    posterior, joint, stats = [], [], []
+    dropped = 0
+    for v, sub in zip(batch, rngs):
         try:
-            g_pos, tau_p, t_p = positive_phase_estimate(params, v, cfg, sub)
-            g_neg, tau_n, t_n = negative_phase_estimate(params, cfg, sub)
+            pos, neg, st = _example_states(params, v, cfg.tau_max, sub)
         except CouplingTruncatedError:
             if cfg.truncation_policy == "error":
                 raise
             dropped += 1  # drop_sample reintroduces bias; offered for robustness runs
             continue
-        total.add_scaled(g_neg, 1.0)
-        total.add_scaled(g_pos, -1.0)
-        kept += 1
-        taus_p.append(tau_p)
-        taus_n.append(tau_n)
-        ts_p.append(t_p)
-        ts_n.append(t_n)
-    if kept:
-        total.scale(1.0 / kept)
+        posterior += pos
+        joint += neg
+        stats.append(st)
+    if stats:
+        total = gradient_from_states(params, cfg.estimator, posterior, joint, 1.0 / len(stats))
         new_params = optimizer.update(params, total)
+        grad_norm = total.norm()
+        means = np.mean(np.array(stats, dtype=np.float64), axis=0)
     else:
         new_params = params.copy()
+        grad_norm = 0.0
+        means = np.zeros(4)
     metrics = StepMetrics(
-        mean_tau_pos=float(np.mean(taus_p)) if taus_p else 0.0,
-        mean_tau_neg=float(np.mean(taus_n)) if taus_n else 0.0,
-        mean_T_pos=float(np.mean(ts_p)) if ts_p else 0.0,
-        mean_T_neg=float(np.mean(ts_n)) if ts_n else 0.0,
-        grad_norm=total.norm() if kept else 0.0,
+        mean_tau_pos=float(means[0]),
+        mean_tau_neg=float(means[1]),
+        mean_T_pos=float(means[2]),
+        mean_T_neg=float(means[3]),
+        grad_norm=grad_norm,
         dropped=dropped,
     )
     return new_params, metrics
@@ -425,7 +492,7 @@ def complete(params: DbmParams, v_observed: np.ndarray, observed: np.ndarray,
 def _format_row(m: StepMetrics) -> str:
     return (f"{m.step},{m.mean_tau_pos:.6g},{m.mean_tau_neg:.6g},"
             f"{m.mean_T_pos:.6g},{m.mean_T_neg:.6g},{m.grad_norm:.10g},"
-            f"{m.wall_ms:.3f}")
+            f"{m.wall_ms:.3f},{m.dropped}")
 
 
 def train(cfg: TrainConfig, dataset, out_dir=None, initial_params: DbmParams = None,
@@ -510,12 +577,10 @@ def unbiasedness_report(params: DbmParams, v: np.ndarray, n_samples: int, seed: 
     to fail. Components whose estimates never vary must match the oracle
     exactly and are reported with z = 0.
     """
-    cfg = TrainConfig(shape=params.shape, estimator=estimator, tau_max=tau_max)
     if estimate_fn is None:
         def estimate_fn(p, vv, rng):
-            g_pos, _, _ = positive_phase_estimate(p, vv, cfg, rng)
-            g_neg, _, _ = negative_phase_estimate(p, cfg, rng)
-            return g_neg.add_scaled(g_pos, -1.0)
+            posterior, joint, _ = _example_states(p, vv, tau_max, rng)
+            return gradient_from_states(p, estimator, posterior, joint)
     exact = oracle.exact_grad_loglik(params, v).as_vector()
     dim = exact.size
     acc = np.zeros(dim)

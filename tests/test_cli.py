@@ -48,7 +48,8 @@ class TestTrain:
         assert main(["train", "--config", cfg]) == 0
         lines = (out / "train_log.csv").read_text().splitlines()
         rows = [l for l in lines if l and not l.startswith("#")]
-        assert rows[0] == "step,mean_tau_pos,mean_tau_neg,mean_T_pos,mean_T_neg,grad_norm,wall_ms"
+        assert rows[0] == ("step,mean_tau_pos,mean_tau_neg,mean_T_pos,mean_T_neg,grad_norm,"
+                           "wall_ms,dropped")
         assert len(rows) == 201
         assert rows[-1].split(",")[0] == "200"
 

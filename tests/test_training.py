@@ -11,8 +11,8 @@ from spindbm import (DbmParams, DbmShape, GradEstimate, JointState, TrainConfig,
 from spindbm import oracle
 from spindbm.model import uniform_spins
 from spindbm.search import block_minimize_joint, gibbs_sweep_joint
-from spindbm.training import (AdamOptimizer, SgdOptimizer, logistic_draws,
-                              random_semi_orthogonal, rng_for)
+from spindbm.training import (LOG_COLUMNS, AdamOptimizer, SgdOptimizer,
+                              logistic_draws, random_semi_orthogonal, rng_for)
 
 from conftest import random_params
 
@@ -161,6 +161,125 @@ class TestTrainStep:
                           estimator="marginalized", tau_max=200_000)
         trained, _ = train(cfg, rows, initial_params=params)
         assert oracle.exact_loglik(trained, rows) > oracle.exact_loglik(params, rows) + 0.3
+
+
+class _Capture:
+    """Optimizer stand-in that records the batch gradient it is handed."""
+
+    def update(self, params, grad):
+        self.grad = grad.vec.copy()
+        return params
+
+
+def _outer_rows(a, b, c):
+    """Energy gradient at one (v, h1, h2)-like row from explicit outer products."""
+    return np.concatenate([-np.outer(a, b).ravel(), -np.outer(b, c).ravel(), -a, -b, -c])
+
+
+def _reference_integrand(params, estimator, v, h1, h2, joint):
+    if estimator == "plain":
+        return _outer_rows(v, h1, h2)
+    t1 = np.tanh(params.W1.T @ v + params.W2 @ h2 + params.b_h1)
+    t2 = np.tanh(params.W2.T @ h1 + params.b_h2)
+    tv = np.tanh(params.W1 @ h1 + params.b_v) if joint else v
+    return 0.5 * (_outer_rows(v, t1, h2) + _outer_rows(tv, h1, t2))
+
+
+def _literal_telescope(run, f):
+    total = f(run.x_states[0])
+    for t in range(1, run.tau):
+        total = total + f(run.x_states[t]) - f(run.y_states[t - 1])
+    return total
+
+
+def _reference_batch_gradient(params, batch, cfg, rng):
+    """Per-example sum of per-state outer products over the streams train_step uses.
+
+    Returns (mean gradient over kept examples, dropped, tau > 1 runs,
+    telescoping terms cancelled to zero).
+    """
+    from spindbm.coupling import telescope_terms
+    from spindbm.training import negative_phase_run, positive_phase_run
+    total, kept, dropped, long_runs, cancelled = 0.0, 0, 0, 0, 0
+    for v, sub in zip(batch, rng.spawn(len(batch))):
+        prun, _ = positive_phase_run(params, v, cfg.tau_max, sub)
+        nrun = None if prun.truncated else negative_phase_run(params, cfg.tau_max, sub)[0]
+        if nrun is None or nrun.truncated:
+            dropped += 1
+            continue
+        for run in (prun, nrun):
+            if run.tau > 1:
+                long_runs += 1
+                states = run.x_states[:run.tau] + run.y_states[:run.tau - 1]
+                distinct = {st.concat().tobytes() for st in states}
+                cancelled += len(distinct) - len(telescope_terms(run))
+        pos = _literal_telescope(prun, lambda h: _reference_integrand(
+            params, cfg.estimator, v, h.h1, h.h2, False))
+        neg = _literal_telescope(nrun, lambda x: _reference_integrand(
+            params, cfg.estimator, x.v, x.h1, x.h2, True))
+        total = total + neg - pos
+        kept += 1
+    return total / kept, dropped, long_runs, cancelled
+
+
+def _spin_batch(seed, n, n_v):
+    return [np.where(np.random.default_rng([seed, i]).random(n_v) < 0.5, 1.0, -1.0)
+            for i in range(n)]
+
+
+def _assert_rel_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+class TestBatchGradient:
+    """train_step's one-GEMM batch gradient against per-state outer products."""
+
+    @pytest.mark.parametrize("estimator", ["plain", "marginalized"])
+    @pytest.mark.parametrize("n_h2", [2, 0])
+    def test_matches_outer_product_sum(self, estimator, n_h2):
+        # weak weights keep many states near-degenerate, so tau > 1 runs with
+        # repeated, cancelling states are common
+        params = random_params(DbmShape(4, 3, n_h2), seed=3, scale=0.3)
+        cfg = TrainConfig(shape=params.shape, estimator=estimator)
+        long_runs = cancelled = 0
+        for seed in range(6):
+            batch = _spin_batch(seed, 6, 4)
+            opt = _Capture()
+            _, m = train_step(params, batch, cfg, rng_for(seed, 1), opt)
+            want, dropped, n_long, n_cancelled = _reference_batch_gradient(
+                params, batch, cfg, rng_for(seed, 1))
+            assert m.dropped == dropped == 0
+            _assert_rel_close(opt.grad, want)
+            long_runs += n_long
+            cancelled += n_cancelled
+        assert long_runs > 0 and cancelled > 0  # the cases exercised tau > 1 and cancellation
+
+    @pytest.mark.parametrize("estimator", ["plain", "marginalized"])
+    def test_drop_sample_leaves_dropped_example_out(self, estimator):
+        # at tau_max = 1 the first example's negative run truncates after its
+        # positive run succeeded; its positive states must not reach the sum
+        params = random_params(DbmShape(4, 3, 2), seed=3, scale=0.3)
+        cfg = TrainConfig(shape=params.shape, estimator=estimator, tau_max=1,
+                          truncation_policy="drop_sample")
+        batch = _spin_batch(2, 3, 4)
+        opt = _Capture()
+        _, m = train_step(params, batch, cfg, rng_for(2, 1), opt)
+        want, dropped, _, _ = _reference_batch_gradient(params, batch, cfg, rng_for(2, 1))
+        assert m.dropped == dropped == 1
+        _assert_rel_close(opt.grad, want)
+
+    @pytest.mark.parametrize("estimator", ["plain", "marginalized"])
+    def test_no_rows_give_zero_gradient(self, estimator):
+        # telescoping coefficients sum to 1, so a run never cancels entirely;
+        # K = 0 rows are checked at the kernel
+        from spindbm.model import grad_from_rows
+        from spindbm.training import gradient_from_states
+        params = random_params(DbmShape(4, 3, 2), seed=3)
+        g = grad_from_rows(np.zeros((0, 4)), np.zeros((0, 3)), np.zeros((0, 2)), np.zeros(0))
+        assert g.sizes == (4, 3, 2)
+        np.testing.assert_array_equal(g.vec, GradEstimate.zeros(params.shape).vec)
+        g = gradient_from_states(params, estimator, [], [])
+        np.testing.assert_array_equal(g.vec, GradEstimate.zeros(params.shape).vec)
 
 
 class TestMeanField:
@@ -372,8 +491,10 @@ class TestTrainLoop:
         train(self._cfg(), self._dataset(), out_dir=str(out2))
         for name in ("ckpt-000000.udbm", "ckpt-000020.udbm", "ckpt-000025.udbm"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-        strip = lambda p: ["," .join(l.split(",")[:-1]) for l in p.read_text().splitlines()]
-        assert strip(out1 / "train_log.csv") == strip(out2 / "train_log.csv")  # wall_ms varies
+        wall = LOG_COLUMNS.index("wall_ms")  # the only column that varies
+        strip = lambda p: [l.split(",")[:wall] + l.split(",")[wall + 1:]
+                           for l in p.read_text().splitlines()]
+        assert strip(out1 / "train_log.csv") == strip(out2 / "train_log.csv")
 
     def test_resume_from_checkpoint(self, tmp_path):
         out = tmp_path / "first"
@@ -382,6 +503,37 @@ class TestTrainLoop:
         cfg2.resume = str(out / "ckpt-000025.udbm")
         params2, history2 = train(cfg2, self._dataset(), out_dir=str(tmp_path / "second"))
         assert len(history2) == 5
+
+    # (mean_tau_pos, mean_tau_neg, mean_T_pos, mean_T_neg) of each step of
+    # _cfg(), recorded with the per-state outer-product gradient. They depend
+    # only on how the chains draw random numbers, not on float summation
+    # order, so a refactor that changes RNG consumption fails here.
+    PINNED_CHAIN_STATS = [
+        (1.0, 1.0, 2.0, 2.0), (1.5, 1.0, 2.0, 2.0), (1.0, 2.0, 2.5, 2.0),
+        (1.0, 1.0, 2.0, 2.0), (1.0, 1.0, 2.5, 2.0), (1.0, 1.0, 2.5, 2.5),
+        (27.0, 1.0, 2.0, 2.0), (1.0, 1.0, 2.5, 2.5), (1.0, 1.0, 2.5, 2.0),
+        (1.0, 1.0, 2.0, 2.5), (1.0, 1.0, 3.0, 2.5), (1.0, 1.0, 3.0, 2.0),
+        (1.5, 1.0, 2.0, 2.0), (7.5, 4.5, 2.5, 2.0), (1.0, 1.0, 2.5, 2.0),
+        (4.5, 10.0, 3.0, 2.0), (1.0, 2.5, 2.5, 2.0), (1.0, 1.0, 3.0, 2.0),
+        (1.0, 1.0, 3.0, 2.5), (1.0, 1.0, 1.5, 2.5), (1.0, 1.0, 2.5, 2.0),
+        (1.0, 1.0, 2.0, 2.0), (1.0, 4.0, 2.0, 2.0), (1.0, 1.0, 2.0, 2.0),
+        (1.0, 1.0, 2.0, 2.0),
+    ]
+
+    def test_chain_randomness_pinned(self):
+        _, history = train(self._cfg(), self._dataset())
+        got = [(m.mean_tau_pos, m.mean_tau_neg, m.mean_T_pos, m.mean_T_neg) for m in history]
+        assert got == self.PINNED_CHAIN_STATS
+
+    def test_dropped_column_logged(self, tmp_path):
+        out = tmp_path / "drop"
+        _, history = train(self._cfg(tau_max=1, truncation_policy="drop_sample"),
+                           self._dataset(), out_dir=str(out))
+        rows = [l.split(",") for l in (out / "train_log.csv").read_text().splitlines()
+                if l and not l.startswith("#")]
+        col = rows[0].index("dropped")
+        assert [int(r[col]) for r in rows[1:]] == [m.dropped for m in history]
+        assert sum(m.dropped for m in history) > 0
 
     def test_dataset_width_mismatch(self):
         with pytest.raises(ValueError):
