@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import gibbs_couple_joint, mh_couple_joint
+from .coupling import DEFAULT_TAU_MAX_MH, gibbs_couple_joint, mh_couple_joint
 from .model import DbmShape, JointState, uniform_spins
 from .search import gibbs_sweep_joint, local_search_joint
 from .training import init_params, rng_for
@@ -27,7 +27,6 @@ INITS = ("uniform", "local_mode")
 
 DEFAULT_DIMS = (1, 5, 10, 25, 50, 100, 200)
 DEFAULT_REPLICATES = 200
-DEFAULT_TAU_MAX_MH = 10_000
 DEFAULT_TAU_MAX_GIBBS = 100_000
 
 CSV_HEADER = ("arm", "dim", "replicate", "tau", "T", "total", "truncated")

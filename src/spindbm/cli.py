@@ -17,6 +17,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import data as data_mod
+from .coupling import DEFAULT_TAU_MAX_MH
 from .model import DbmShape, load_params
 from .training import (ESTIMATORS, TrainConfig, default_check_model, rng_for,
                        sample, train, unbiasedness_report)
@@ -284,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--min-samples", type=int, default=1_000)
     o.add_argument("--seed", type=int, default=0)
     o.add_argument("--model-seed", type=int, default=7)
-    o.add_argument("--tau-max", type=int, default=10_000)
+    o.add_argument("--tau-max", type=int, default=DEFAULT_TAU_MAX_MH)
     o.set_defaults(func=cmd_oracle_check)
     return p
 

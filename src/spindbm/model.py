@@ -310,12 +310,11 @@ def energy(params: DbmParams, x: JointState) -> float:
 
 
 def energy_vhh(params: DbmParams, v, h1, h2) -> float:
-    e = -float((v @ params.W1) @ h1)
+    """The joint energy of (v, h1, h2); the MH couplers' acceptance energy."""
     if params.W2.shape[1]:
-        e -= float((h1 @ params.W2) @ h2)
-        e -= float(params.b_h2 @ h2)
-    e -= float(params.b_v @ v) + float(params.b_h1 @ h1)
-    return e
+        return (-float((v @ params.W1) @ h1) - float((h1 @ params.W2) @ h2)
+                - float(params.b_v @ v) - float(params.b_h1 @ h1) - float(params.b_h2 @ h2))
+    return -float((v @ params.W1) @ h1) - float(params.b_v @ v) - float(params.b_h1 @ h1)
 
 
 def local_fields_even(params: DbmParams, h1: np.ndarray):

@@ -26,13 +26,13 @@ from . import oracle
 from .coupling import (DEFAULT_TAU_MAX_MH, CouplingTruncatedError,
                        mh_couple_joint, mh_couple_posterior, mh_step,
                        telescope_terms)
-from .model import (DbmParams, DbmShape, GradEstimate, JointState, grad_energy_vhh,
-                    grad_from_rows, load_params, save_params, uniform_spins)
+from .model import (DbmParams, DbmShape, GradEstimate, JointState, grad_from_rows,
+                    load_params, save_params, uniform_spins)
 # Not called here; perfbench/tracer.py wraps these names in this module,
 # so they stay importable from it.
 from .coupling import telescope_estimate  # noqa: F401
 from .model import (grad_energy_even_marginal, grad_energy_odd_marginal,  # noqa: F401
-                    grad_energy_odd_posterior)
+                    grad_energy_odd_posterior, grad_energy_vhh)
 from .search import (gibbs_sweep_joint, gibbs_sweep_posterior,
                      local_search_clamped, local_search_joint,
                      local_search_posterior)
@@ -436,21 +436,18 @@ def pcd_step(params: DbmParams, batch, persistent_chains: list, cfg: TrainConfig
     Negative phase: pcd_k Gibbs sweeps on chains carried across steps.
     Returns (new_params, updated_chains, StepMetrics).
     """
-    pos = GradEstimate.zeros(params.shape)
+    mean_field = []
     for v in batch:
         mf = mean_field_posterior(params, v)
-        pos.add_scaled(grad_energy_vhh(np.asarray(v, dtype=np.float64),
-                                       mf.mu_h1, mf.mu_h2), 1.0)
-    pos.scale(1.0 / len(batch))
-    neg = GradEstimate.zeros(params.shape)
+        mean_field.append((np.asarray(v, dtype=np.float64), mf.mu_h1, mf.mu_h2,
+                           -1.0 / len(batch)))
     new_chains = []
     for chain in persistent_chains:
         for _ in range(cfg.pcd_k):
             chain = gibbs_sweep_joint(params, chain, rng)
         new_chains.append(chain)
-        neg.add_scaled(grad_energy_vhh(chain.v, chain.h1, chain.h2), 1.0)
-    neg.scale(1.0 / len(new_chains))
-    g = neg.add_scaled(pos, -1.0)
+    chains = [(x.v, x.h1, x.h2, 1.0 / len(new_chains)) for x in new_chains]
+    g = gradient_from_states(params, "plain", mean_field, chains)
     new_params = SgdOptimizer(cfg.learning_rate).update(params, g)
     return new_params, new_chains, StepMetrics(grad_norm=g.norm())
 

@@ -147,6 +147,7 @@ class TestFaithfulness:
         for _ in range(50):
             x0 = random_state(params.shape, rng)
             xs, ys = mh_coupled_trajectory(params, x0, 30, rng)
+            assert (len(xs), len(ys)) == (31, 30)  # exactly n_steps steps
             met = None
             for t in range(1, 30):
                 if xs[t].equals(ys[t - 1]):
@@ -156,6 +157,12 @@ class TestFaithfulness:
                 continue
             for t in range(met, 30):
                 assert xs[t].equals(ys[t - 1])
+
+    @pytest.mark.parametrize("n_steps", [0, -3])
+    def test_trajectory_rejects_nonpositive_steps(self, n_steps, rng):
+        params = random_params(DbmShape(3, 3, 2), seed=2)
+        with pytest.raises(ValueError):
+            mh_coupled_trajectory(params, random_state(params.shape, rng), n_steps, rng)
 
 
 class TestGibbsCoupling:
@@ -255,6 +262,15 @@ class TestMhStep:
             counts[state_index(y.concat())] += 1
         tv = 0.5 * np.abs(counts / n - dist.probabilities).sum()
         assert tv < 0.02
+
+    def test_rejects_nonspin_state(self, rng):
+        # the same validation as mh_couple_joint
+        params = random_params(DbmShape(2, 2, 1), seed=3)
+        bad = JointState(np.array([1.0, 0.0]), np.ones(2), np.ones(1))
+        with pytest.raises(ValueError):
+            mh_couple_joint(params, bad, 10, rng)
+        with pytest.raises(ValueError):
+            mh_step(params, bad, rng)
 
 
 class TestCouplingTimeStats:
