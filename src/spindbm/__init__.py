@@ -33,9 +33,10 @@ from .search import (SearchDivergenceError, SearchResult, block_minimize_joint,
                      block_minimize_posterior, gibbs_sweep_joint,
                      gibbs_sweep_posterior, local_search_clamped,
                      local_search_joint, local_search_posterior)
-from .training import (MeanFieldState, StepMetrics, TrainConfig, complete,
-                       init_params, init_persistent_chains, make_optimizer,
-                       mean_field_posterior, negative_phase_estimate, pcd_step,
+from .training import (MeanFieldState, NonFiniteUpdateError, StepMetrics,
+                       TrainConfig, complete, init_params, init_persistent_chains,
+                       make_optimizer, mean_field_posterior,
+                       negative_phase_estimate, pcd_step,
                        positive_phase_estimate, sample, train, train_step,
                        unbiasedness_report)
 

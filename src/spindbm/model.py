@@ -17,6 +17,7 @@ All functions are pure; arrays are float64 throughout.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -410,14 +411,26 @@ def grad_energy_odd_posterior(params: DbmParams, v: np.ndarray, h1: np.ndarray) 
 # then W1 (row-major), W2 (row-major), b_v, b_h1, b_h2 as consecutive f64.
 
 def save_params(params: DbmParams, path):
+    """Write a checkpoint atomically: to a temporary file beside path, then os.replace.
+
+    A failed write leaves whatever was at path untouched and removes the
+    temporary file.
+    """
     params.validate()
     s = params.shape
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(bytes([CHECKPOINT_VERSION]))
-        f.write(struct.pack("<III", s.n_v, s.n_h1, s.n_h2))
-        for a in params.arrays():
-            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(bytes([CHECKPOINT_VERSION]))
+            f.write(struct.pack("<III", s.n_v, s.n_h1, s.n_h2))
+            for a in params.arrays():
+                f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_params(path) -> DbmParams:

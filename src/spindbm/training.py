@@ -16,6 +16,7 @@ approximate expectations of the energy gradient; the update direction is
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -40,6 +41,11 @@ from .search import (gibbs_sweep_joint, gibbs_sweep_posterior,
 ESTIMATORS = ("plain", "marginalized")
 OPTIMIZERS = ("sgd", "adam", "amsgrad")
 TRUNCATION_POLICIES = ("error", "drop_sample")
+
+
+class NonFiniteUpdateError(RuntimeError):
+    """A training step's gradient was not finite, so its update would not be."""
+
 
 LOG_COLUMNS = ("step", "mean_tau_pos", "mean_tau_neg", "mean_T_pos",
                "mean_T_neg", "grad_norm", "wall_ms", "dropped")  # append-only
@@ -499,7 +505,8 @@ def train(cfg: TrainConfig, dataset, out_dir=None, initial_params: DbmParams = N
     dataset: sequence of +-1 visible vectors (rows of a matrix work).
     out_dir: when given, checkpoints land there (initial, periodic, final)
     and a train_log.csv is appended to unless log_file overrides it.
-    Returns (params, [StepMetrics per step]).
+    Returns (params, [StepMetrics per step]). A step whose gradient norm is
+    not finite is logged, then raises NonFiniteUpdateError.
     """
     cfg.validate()
     data = [np.asarray(v, dtype=np.float64) for v in dataset]
@@ -543,6 +550,9 @@ def train(cfg: TrainConfig, dataset, out_dir=None, initial_params: DbmParams = N
             history.append(metrics)
             if log_fh is not None:
                 log_fh.write(_format_row(metrics) + "\n")
+            if not math.isfinite(metrics.grad_norm):
+                raise NonFiniteUpdateError(
+                    f"step {step}: gradient norm is {metrics.grad_norm}, so the update is not finite")
             if out_dir is not None and (step % cfg.checkpoint_every == 0
                                         or step == cfg.steps):
                 save_params(params, os.path.join(out_dir, f"ckpt-{step:06d}.udbm"))

@@ -7,6 +7,8 @@ from spindbm import DbmParams, DbmShape, load_params, save_params
 from spindbm.cli import main
 from spindbm.data import read_pgm
 
+from test_training import nan_at_step_3
+
 
 def write_config(path, **kv):
     path.write_text("".join(f"{k} = {v}\n" for k, v in kv.items()), encoding="utf-8")
@@ -52,6 +54,13 @@ class TestTrain:
                            "wall_ms,dropped")
         assert len(rows) == 201
         assert rows[-1].split(",")[0] == "200"
+
+    def test_nonfinite_step_exits_1(self, tmp_path, capsys, monkeypatch):
+        nan_at_step_3(monkeypatch)
+        cfg = write_config(tmp_path / "c.txt", n_v=4, n_h1=3, n_h2=2, steps=5,
+                           data="synthetic:2x4", out_dir=str(tmp_path / "out"))
+        assert main(["train", "--config", cfg]) == 1
+        assert "step 3" in capsys.readouterr().err
 
     def test_config_echoed_into_log_header(self, tmp_path):
         out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import builtins
 import itertools
 
 import numpy as np
@@ -10,7 +11,7 @@ from spindbm import (CheckpointError, DbmParams, DbmShape, DimensionError,
                      grad_energy_even_marginal, grad_energy_odd_marginal,
                      grad_energy_odd_posterior, load_params, local_fields_even,
                      local_fields_odd, logcosh, save_params, uniform_spins)
-from spindbm import oracle
+from spindbm import model, oracle
 from spindbm.model import grad_energy_vhh
 
 from conftest import random_params
@@ -321,6 +322,37 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CheckpointError):
             load_params(path)
+
+    def test_failed_write_keeps_previous_file(self, params_332, tmp_path, monkeypatch):
+        path = tmp_path / "model.udbm"
+        save_params(params_332, path)
+        before = path.read_bytes()
+
+        class FailingFile:
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, b):
+                self.writes += 1
+                if self.writes == 3:  # after the magic and the version byte
+                    raise OSError("disk full")
+                return self.f.write(b)
+
+        monkeypatch.setattr(model, "open",
+                            lambda *a, **kw: FailingFile(builtins.open(*a, **kw)),
+                            raising=False)
+        changed = params_332.copy()
+        changed.W1 += 1.0
+        with pytest.raises(OSError, match="disk full"):
+            save_params(changed, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.udbm"]
 
     def test_layout_is_little_endian_f8(self, tmp_path):
         params = DbmParams(np.array([[2.0]]), np.array([[3.0]]),

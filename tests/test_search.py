@@ -3,13 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from spindbm import (DbmParams, DbmShape, JointState, block_minimize_joint,
-                     block_minimize_posterior, energy, enumerate_joint,
-                     gibbs_sweep_joint, gibbs_sweep_posterior,
-                     local_search_clamped, local_search_joint,
+from spindbm import (DbmParams, DbmShape, HiddenState, JointState,
+                     block_minimize_joint, block_minimize_posterior, energy,
+                     enumerate_joint, gibbs_sweep_joint, gibbs_sweep_posterior,
+                     init_params, local_search_clamped, local_search_joint,
                      local_search_posterior, uniform_spins)
+from spindbm import search
 from spindbm.model import energy_vhh
 from spindbm.oracle import spin_table, state_index
+from spindbm.search import (SearchDivergenceError, SearchResult, _spins,
+                            default_max_iterations)
 
 from conftest import random_params
 
@@ -198,3 +201,174 @@ class TestGibbsSweeps:
             counts[state_index(h.concat())] += 1
         tv = 0.5 * np.abs(counts / n - exact).sum()
         assert tv < 0.02
+
+
+# ---------------------------------------------------------------------------
+# The search loop carries its fields between passes. The reference below is
+# the loop that recomputes every field on every pass, kept verbatim with the
+# block pass it calls (clamp = (observed, v_obs) masks the observed units).
+# ---------------------------------------------------------------------------
+
+_THRESHOLD = (None, None, None)
+
+
+def _odd_field(params, v, h2, c):
+    return params.W1.T @ v + params.W2 @ h2 + params.b_h1 if c is None else c + params.W2 @ h2
+
+
+def _reference_block_pass(params, v, h1, h2, even_first, uniforms=_THRESHOLD,
+                          c=None, clamp=None):
+    u_v, u_h1, u_h2 = uniforms
+    if not even_first:
+        h1 = _spins(_odd_field(params, v, h2, c), u_h1)
+    if c is None:
+        v = _spins(params.W1 @ h1 + params.b_v, u_v)
+        if clamp is not None:
+            v = np.where(clamp[0], clamp[1], v)
+    h2 = _spins(params.W2.T @ h1 + params.b_h2, u_h2)
+    if even_first:
+        h1 = _spins(_odd_field(params, v, h2, c), u_h1)
+    return v, h1, h2
+
+
+def _state(v, h1, h2, posterior):
+    return HiddenState(h1, h2) if posterior else JointState(v, h1, h2)
+
+
+def _reference_fixed_point(params, v, rng, max_iterations, trace, c=None, clamp=None):
+    n_h1, n_h2 = params.W2.shape
+    h1 = uniform_spins(n_h1, rng)
+    h2 = uniform_spins(n_h2, rng)
+    even_first = rng.random() < 0.5
+    cap = max_iterations if max_iterations is not None else default_max_iterations(params)
+    posterior = c is not None
+    if trace is not None:
+        trace.append(_state(v, h1, h2, posterior))
+    for it in range(1, cap + 1):
+        v_new, h1_new, h2_new = _reference_block_pass(params, v, h1, h2, even_first,
+                                                      _THRESHOLD, c, clamp)
+        if trace is not None:
+            trace.append(_state(v_new, h1_new, h2_new, posterior))
+        # v_new is v when c fixes v
+        if ((v_new is v or np.array_equal(v_new, v)) and np.array_equal(h1_new, h1)
+                and np.array_equal(h2_new, h2)):
+            return SearchResult(_state(v_new, h1_new, h2_new, posterior), it)
+        v, h1, h2 = v_new, h1_new, h2_new
+    raise SearchDivergenceError(f"no fixed point within {cap} iterations")
+
+
+def _reference_search(kind, params, rng, v=None, observed=None, trace=None):
+    if kind == "joint":
+        return _reference_fixed_point(params, uniform_spins(params.W1.shape[0], rng), rng,
+                                      None, trace)
+    if kind == "posterior":
+        return _reference_fixed_point(params, v, rng, None, trace,
+                                      c=params.W1.T @ v + params.b_h1)
+    v_obs = np.where(observed, v, 0.0)
+    v0 = np.where(observed, v_obs, uniform_spins(len(v), rng))
+    return _reference_fixed_point(params, v0, rng, None, trace, clamp=(observed, v_obs))
+
+
+def _search(kind, params, rng, v=None, observed=None, trace=None):
+    if kind == "joint":
+        return local_search_joint(params, rng, trace=trace)
+    if kind == "posterior":
+        return local_search_posterior(params, v, rng, trace=trace)
+    return local_search_clamped(params, v, observed, rng, trace=trace)
+
+
+def _even_first(kind, params, seed):
+    """The block order a search drew from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    n_v, n_h1 = params.W1.shape
+    if kind != "posterior":
+        uniform_spins(n_v, rng)
+    uniform_spins(n_h1, rng)
+    uniform_spins(params.W2.shape[1], rng)
+    return rng.random() < 0.5
+
+
+def _same(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(vars(a).values(), vars(b).values()))
+
+
+@pytest.fixture
+def exact_passes(monkeypatch):
+    """Record (input, output) of every block_pass the search loop runs to confirm."""
+    calls, real = [], search.block_pass
+
+    def spy(params, v, h1, h2, even_first, uniforms=_THRESHOLD, c=None, rows=None):
+        out = real(params, v, h1, h2, even_first, uniforms, c, rows)
+        calls.append(((v, h1, h2), out))
+        return out
+
+    monkeypatch.setattr(search, "block_pass", spy)
+    return calls
+
+
+class TestIncrementalFields:
+    @pytest.mark.parametrize("shape", [DbmShape(512, 128, 64), DbmShape(784, 200, 100)],
+                             ids=str)
+    @pytest.mark.parametrize("model", ["gaussian", "orthogonal"])
+    @pytest.mark.parametrize("kind", ["joint", "posterior", "clamped-half",
+                                      "clamped-scattered"])
+    def test_matches_fresh_field_reference(self, shape, model, kind, exact_passes):
+        params = (random_params(shape, seed=11) if model == "gaussian"
+                  else init_params(shape, np.random.default_rng(11)))
+        n_v = shape.n_v
+        observed = {"clamped-half": np.arange(n_v) < n_v // 2,
+                    "clamped-scattered": np.random.default_rng(3).random(n_v) < 0.5
+                    }.get(kind)
+        base = kind.split("-")[0]
+        for seed in range(30):
+            v = uniform_spins(n_v, np.random.default_rng(1000 + seed))
+            t_ref, t_new = [], []
+            ref = _reference_search(base, params, np.random.default_rng(seed), v, observed,
+                                    t_ref)
+            new = _search(base, params, np.random.default_rng(seed), v, observed, t_new)
+            assert new.steps == ref.steps
+            assert _same(new.state, ref.state)
+            assert len(t_new) == len(t_ref)
+            assert all(_same(a, b) for a, b in zip(t_new, t_ref))
+            # the result is a fixed point of the exact pass in the search's order
+            even_first = _even_first(base, params, seed)
+            x = new.state
+            if base == "joint":
+                again = block_minimize_joint(params, x.v, x.h1, x.h2, even_first)
+            elif base == "posterior":
+                again = block_minimize_posterior(params, v, x.h1, x.h2, even_first)
+            else:
+                again = _reference_block_pass(params, x.v, x.h1, x.h2, even_first,
+                                              clamp=(observed, v))
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(again, (x.h1, x.h2) if base == "posterior" else (x.v, x.h1, x.h2)))
+        # fields were updated from flipped units, so some searches ran the confirming pass
+        assert exact_passes
+        assert all(_same(JointState(*a), JointState(*b)) for a, b in exact_passes)
+
+    def test_confirming_pass_moves_state(self, exact_passes):
+        # h1[1]'s field sums to exactly 0 fresh once v[1] = -1, so sgn gives +1:
+        # fl(1 - 2^-53) - (1 - 2^-53) = 0. Updated from the v[1] = +1 state
+        # instead, fl(1 + 2^-53) = 1 has already dropped the 2^-53, and the field
+        # reads fl(2^-53 - 2^-52) = -2^-53 < 0.
+        eps = 2.0 ** -53
+        params = DbmParams.zeros(DbmShape(8, 2, 0))
+        params.W1[0, 1] = 1.0    # v[0] = +1 always (bias 2) feeds h1[1]
+        params.W1[1, 1] = eps
+        params.W1[1, 0] = 1.0    # v[1] follows h1[0], which becomes -1 (bias -2)
+        params.b_v[0] = 2.0
+        params.b_h1[:] = (-2.0, -(1.0 - eps))
+        moved = 0
+        for seed in range(40):
+            ref = _reference_search("joint", params, np.random.default_rng(seed))
+            n = len(exact_passes)
+            r = local_search_joint(params, np.random.default_rng(seed))
+            assert _same(r.state, ref.state)
+            assert r.state.h1[1] == 1.0
+            x = r.state
+            again = block_minimize_joint(params, x.v, x.h1, x.h2,
+                                         _even_first("joint", params, seed))
+            assert all(np.array_equal(a, b) for a, b in zip(again, (x.v, x.h1, x.h2)))
+            moved += any(not _same(JointState(*a), JointState(*b))
+                         for a, b in exact_passes[n:])
+        assert moved > 0

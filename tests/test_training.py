@@ -3,18 +3,32 @@ import os
 import numpy as np
 import pytest
 
-from spindbm import (DbmParams, DbmShape, GradEstimate, JointState, TrainConfig,
-                     complete, init_params, init_persistent_chains,
+from spindbm import (DbmParams, DbmShape, GradEstimate, JointState,
+                     NonFiniteUpdateError, TrainConfig, complete, init_params, init_persistent_chains,
                      make_optimizer, mean_field_posterior,
                      negative_phase_estimate, pcd_step, positive_phase_estimate,
                      sample, train, train_step, unbiasedness_report)
-from spindbm import oracle
+from spindbm import oracle, training
 from spindbm.model import uniform_spins
 from spindbm.search import block_minimize_joint, gibbs_sweep_joint
 from spindbm.training import (LOG_COLUMNS, AdamOptimizer, SgdOptimizer,
                               logistic_draws, random_semi_orthogonal, rng_for)
 
 from conftest import random_params
+
+
+def nan_at_step_3(monkeypatch):
+    """Make training.train_step report a NaN gradient norm on its third call."""
+    real, calls = training.train_step, []
+
+    def step(*args, **kwargs):
+        new_params, metrics = real(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 3:
+            metrics.grad_norm = float("nan")
+        return new_params, metrics
+
+    monkeypatch.setattr(training, "train_step", step)
 
 
 class TestInitParams:
@@ -495,6 +509,16 @@ class TestTrainLoop:
         strip = lambda p: [l.split(",")[:wall] + l.split(",")[wall + 1:]
                            for l in p.read_text().splitlines()]
         assert strip(out1 / "train_log.csv") == strip(out2 / "train_log.csv")
+
+    def test_nonfinite_gradient_names_the_step(self, tmp_path, monkeypatch):
+        nan_at_step_3(monkeypatch)
+        out = tmp_path / "run"
+        with pytest.raises(NonFiniteUpdateError, match="step 3"):
+            train(self._cfg(), self._dataset(), out_dir=str(out))
+        rows = [l for l in (out / "train_log.csv").read_text().splitlines()
+                if l and not l.startswith("#")]
+        assert [r.split(",")[0] for r in rows[1:]] == ["1", "2", "3"]
+        assert not (out / "ckpt-000003.udbm").exists()
 
     def test_resume_from_checkpoint(self, tmp_path):
         out = tmp_path / "first"
