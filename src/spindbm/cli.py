@@ -108,12 +108,13 @@ def cmd_train(args) -> int:
     overrides = {"steps": args.steps, "seed": args.seed, "data": args.data,
                  "out_dir": args.out_dir}
     cfg = build_train_config(file_values, overrides)
+    if not cfg.out_dir:
+        raise ConfigError("no output directory configured (key 'out_dir' or --out-dir)")
     rows = load_training_data(cfg.data, cfg)
     if rows.shape[1] != cfg.shape.n_v:
         raise ConfigError(f"data width {rows.shape[1]} != n_v {cfg.shape.n_v}")
-    out_dir = cfg.out_dir or "."
-    params, history = train(cfg, rows, out_dir=out_dir)
-    print(f"trained {cfg.steps} steps; final checkpoint in {out_dir}")
+    params, history = train(cfg, rows, out_dir=cfg.out_dir)
+    print(f"trained {cfg.steps} steps; final checkpoint in {cfg.out_dir}")
     if history:
         last = history[-1]
         print(f"last step: tau_pos={last.mean_tau_pos:.2f} tau_neg={last.mean_tau_neg:.2f} "

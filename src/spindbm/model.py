@@ -58,57 +58,87 @@ class DbmShape:
         return self.n_v + self.n_h1 + self.n_h2
 
 
-@dataclass
-class DbmParams:
-    """Model parameters: weights W1 (n_v x n_h1), W2 (n_h1 x n_h2), biases."""
+def param_layout(n_v: int, n_h1: int, n_h2: int, vec: np.ndarray | None = None):
+    """The one parameter layout: (vec, W1, W2, b_v, b_h1, b_h2).
 
-    W1: np.ndarray
-    W2: np.ndarray
-    b_v: np.ndarray
-    b_h1: np.ndarray
-    b_h2: np.ndarray
+    vec is flat float64 in W1 (n_v x n_h1, row-major), W2 (n_h1 x n_h2,
+    row-major), b_v, b_h1, b_h2 order, and the five arrays are views into it.
+    Gradients, optimizer moments and the checkpoint body use the same order.
+    vec=None allocates a zero vector; a vec of the wrong length raises
+    DimensionError.
+    """
+    o1 = n_v * n_h1
+    o2 = o1 + n_h1 * n_h2
+    o3 = o2 + n_v
+    o4 = o3 + n_h1
+    if vec is None:
+        vec = np.zeros(o4 + n_h2)
+    elif vec.shape != (o4 + n_h2,):
+        raise DimensionError(f"parameter vector of shape {vec.shape} does not fit "
+                             f"({n_v}, {n_h1}, {n_h2}), which needs {o4 + n_h2} entries")
+    return (vec, vec[:o1].reshape(n_v, n_h1), vec[o1:o2].reshape(n_h1, n_h2),
+            vec[o2:o3], vec[o3:o4], vec[o4:])
+
+
+class DbmParams:
+    """Model parameters: weights W1 (n_v x n_h1), W2 (n_h1 x n_h2), biases.
+
+    All five arrays are views into one flat vector, vec (see param_layout),
+    however the parameters were made. Write through the views (W1[...] = ...,
+    W1 += ...) to change vec; rebinding an attribute detaches it.
+    """
+
+    __slots__ = ("sizes", "vec", "W1", "W2", "b_v", "b_h1", "b_h2")
+
+    def __init__(self, W1, W2, b_v, b_h1, b_h2):
+        parts = [np.asarray(a, dtype=np.float64) for a in (W1, W2, b_v, b_h1, b_h2)]
+        if parts[0].ndim != 2 or parts[1].ndim != 2:
+            raise DimensionError("W1 and W2 must be matrices")
+        self._bind((*parts[0].shape, parts[1].shape[1]))
+        for view, a in zip(self.arrays(), parts):
+            if view.shape != a.shape:
+                raise DimensionError(f"parameter shapes {[a.shape for a in parts]} "
+                                     f"do not fit the layout {self.sizes}")
+            view[...] = a
+
+    def _bind(self, sizes: tuple, vec: np.ndarray | None = None):
+        self.sizes = sizes  # (n_v, n_h1, n_h2)
+        self.vec, self.W1, self.W2, self.b_v, self.b_h1, self.b_h2 = param_layout(*sizes, vec)
+
+    @classmethod
+    def _of(cls, sizes: tuple, vec: np.ndarray | None = None):
+        self = object.__new__(cls)
+        self._bind(sizes, vec)
+        return self
 
     @property
     def shape(self) -> DbmShape:
-        return DbmShape(self.W1.shape[0], self.W1.shape[1], self.W2.shape[1])
+        return DbmShape(*self.sizes)
 
     def validate(self):
-        n_v, n_h1 = self.W1.shape
-        if self.W2.shape[0] != n_h1:
-            raise DimensionError("W1 and W2 disagree on the first hidden layer size")
-        n_h2 = self.W2.shape[1]
-        if self.b_v.shape != (n_v,) or self.b_h1.shape != (n_h1,) or self.b_h2.shape != (n_h2,):
-            raise DimensionError("bias vector shapes do not match the weights")
-        for a in (self.W1, self.W2, self.b_v, self.b_h1, self.b_h2):
-            if not np.all(np.isfinite(a)):
-                raise ValueError("parameters contain non-finite entries")
+        if not np.all(np.isfinite(self.vec)):
+            raise ValueError("parameters contain non-finite entries")
         return self
 
-    def copy(self) -> "DbmParams":
-        return DbmParams(self.W1.copy(), self.W2.copy(), self.b_v.copy(),
-                         self.b_h1.copy(), self.b_h2.copy())
+    def copy(self):
+        return self._of(self.sizes, self.vec.copy())
 
     def arrays(self):
         return (self.W1, self.W2, self.b_v, self.b_h1, self.b_h2)
 
     def as_vector(self) -> np.ndarray:
-        """Flatten to a single parameter vector (W1, W2, b_v, b_h1, b_h2 order)."""
-        return np.concatenate([a.ravel() for a in self.arrays()])
+        """A copy of vec (W1, W2, b_v, b_h1, b_h2 order)."""
+        return self.vec.copy()
 
     @classmethod
-    def from_vector(cls, shape: DbmShape, vec: np.ndarray) -> "DbmParams":
-        n_v, n_h1, n_h2 = shape.n_v, shape.n_h1, shape.n_h2
-        sizes = [n_v * n_h1, n_h1 * n_h2, n_v, n_h1, n_h2]
-        if vec.shape != (sum(sizes),):
-            raise DimensionError("parameter vector length does not match shape")
-        parts = np.split(np.asarray(vec, dtype=np.float64), np.cumsum(sizes)[:-1])
-        return cls(parts[0].reshape(n_v, n_h1), parts[1].reshape(n_h1, n_h2),
-                   parts[2], parts[3], parts[4])
+    def from_vector(cls, shape: DbmShape, vec: np.ndarray):
+        """Parameters whose arrays are views into vec (no copy if it is contiguous float64)."""
+        return cls._of((shape.n_v, shape.n_h1, shape.n_h2),
+                       np.ascontiguousarray(vec, dtype=np.float64))
 
     @classmethod
-    def zeros(cls, shape: DbmShape) -> "DbmParams":
-        return cls(np.zeros((shape.n_v, shape.n_h1)), np.zeros((shape.n_h1, shape.n_h2)),
-                   np.zeros(shape.n_v), np.zeros(shape.n_h1), np.zeros(shape.n_h2))
+    def zeros(cls, shape: DbmShape):
+        return cls._of((shape.n_v, shape.n_h1, shape.n_h2))
 
 
 @dataclass
@@ -168,65 +198,22 @@ def logcosh(a):
     return a + np.log1p(np.exp(-2.0 * a)) - LOG2
 
 
-class GradEstimate:
+class GradEstimate(DbmParams):
     """Parameter-shaped gradient accumulator.
 
-    Backed by one flat float64 vector in (W1, W2, b_v, b_h1, b_h2) order so
-    that the telescoping sums and optimizer arithmetic are single vector
-    operations; dW1/dW2/db_v/db_h1/db_h2 are views into that vector.
+    A DbmParams whose arrays are read as dW1/dW2/db_v/db_h1/db_h2, so the
+    telescoping sums and optimizer arithmetic are single operations on vec.
     """
 
-    __slots__ = ("sizes", "vec")
+    __slots__ = ()
 
-    def __init__(self, sizes: tuple, vec: np.ndarray):
-        self.sizes = sizes  # (n_v, n_h1, n_h2)
-        self.vec = vec
-
-    @classmethod
-    def zeros(cls, shape: DbmShape) -> "GradEstimate":
-        n_v, n_h1, n_h2 = shape.n_v, shape.n_h1, shape.n_h2
-        return cls((n_v, n_h1, n_h2), np.zeros(n_v * n_h1 + n_h1 * n_h2 + n_v + n_h1 + n_h2))
+    # the parent's slots under gradient names: same storage, no extra lookup
+    dW1, dW2, db_v, db_h1, db_h2 = (DbmParams.W1, DbmParams.W2, DbmParams.b_v,
+                                    DbmParams.b_h1, DbmParams.b_h2)
 
     @classmethod
     def from_parts(cls, dW1, dW2, db_v, db_h1, db_h2) -> "GradEstimate":
-        n_v, n_h1 = dW1.shape
-        n_h2 = dW2.shape[1]
-        vec = np.concatenate([np.ravel(dW1), np.ravel(dW2), db_v, db_h1, db_h2])
-        return cls((n_v, n_h1, n_h2), vec)
-
-    @property
-    def dW1(self) -> np.ndarray:
-        n_v, n_h1, _ = self.sizes
-        return self.vec[:n_v * n_h1].reshape(n_v, n_h1)
-
-    @property
-    def dW2(self) -> np.ndarray:
-        n_v, n_h1, n_h2 = self.sizes
-        o = n_v * n_h1
-        return self.vec[o:o + n_h1 * n_h2].reshape(n_h1, n_h2)
-
-    @property
-    def db_v(self) -> np.ndarray:
-        n_v, n_h1, n_h2 = self.sizes
-        o = n_v * n_h1 + n_h1 * n_h2
-        return self.vec[o:o + n_v]
-
-    @property
-    def db_h1(self) -> np.ndarray:
-        n_v, n_h1, n_h2 = self.sizes
-        o = n_v * n_h1 + n_h1 * n_h2 + n_v
-        return self.vec[o:o + n_h1]
-
-    @property
-    def db_h2(self) -> np.ndarray:
-        n_v, n_h1, n_h2 = self.sizes
-        return self.vec[len(self.vec) - n_h2:] if n_h2 else self.vec[len(self.vec):]
-
-    def arrays(self):
-        return (self.dW1, self.dW2, self.db_v, self.db_h1, self.db_h2)
-
-    def copy(self) -> "GradEstimate":
-        return GradEstimate(self.sizes, self.vec.copy())
+        return cls(dW1, dW2, db_v, db_h1, db_h2)
 
     def add_scaled(self, other: "GradEstimate", scale: float = 1.0) -> "GradEstimate":
         """In-place self += scale * other (telescoping sums, batch means)."""
@@ -241,21 +228,18 @@ class GradEstimate:
         return self
 
     def __add__(self, other: "GradEstimate") -> "GradEstimate":
-        return GradEstimate(self.sizes, self.vec + other.vec)
+        return self._of(self.sizes, self.vec + other.vec)
 
     def __sub__(self, other: "GradEstimate") -> "GradEstimate":
-        return GradEstimate(self.sizes, self.vec - other.vec)
+        return self._of(self.sizes, self.vec - other.vec)
 
     def __neg__(self) -> "GradEstimate":
-        return GradEstimate(self.sizes, -self.vec)
+        return self._of(self.sizes, -self.vec)
 
     def __mul__(self, c) -> "GradEstimate":
-        return GradEstimate(self.sizes, self.vec * float(c))
+        return self._of(self.sizes, self.vec * float(c))
 
     __rmul__ = __mul__
-
-    def as_vector(self) -> np.ndarray:
-        return self.vec.copy()
 
     def norm(self) -> float:
         return float(np.sqrt(self.vec @ self.vec))
@@ -270,18 +254,14 @@ def grad_from_rows(V: np.ndarray, H1: np.ndarray, H2: np.ndarray, c: np.ndarray)
     integrands). K = 0 gives the zero gradient; one row with c = 1 is the
     plain energy gradient of that state.
     """
-    n_v, n_h1, n_h2 = V.shape[1], H1.shape[1], H2.shape[1]
-    o1 = n_v * n_h1
-    o2 = o1 + n_h1 * n_h2
-    o3 = o2 + n_v
-    vec = np.empty(o3 + n_h1 + n_h2)
+    g = GradEstimate._of((V.shape[1], H1.shape[1], H2.shape[1]))
     nc = -np.asarray(c, dtype=np.float64)
-    np.matmul((V * nc[:, None]).T, H1, out=vec[:o1].reshape(n_v, n_h1))
-    np.matmul((H1 * nc[:, None]).T, H2, out=vec[o1:o2].reshape(n_h1, n_h2))
-    np.matmul(nc, V, out=vec[o2:o3])
-    np.matmul(nc, H1, out=vec[o3:o3 + n_h1])
-    np.matmul(nc, H2, out=vec[o3 + n_h1:])
-    return GradEstimate((n_v, n_h1, n_h2), vec)
+    np.matmul((V * nc[:, None]).T, H1, out=g.dW1)
+    np.matmul((H1 * nc[:, None]).T, H2, out=g.dW2)
+    np.matmul(nc, V, out=g.db_v)
+    np.matmul(nc, H1, out=g.db_h1)
+    np.matmul(nc, H2, out=g.db_h2)
+    return g
 
 
 _ONE = np.ones(1)
@@ -293,8 +273,7 @@ def _one_row(v_like: np.ndarray, h1_like: np.ndarray, h2_like: np.ndarray) -> Gr
 
 
 def _check_joint(params: DbmParams, v, h1, h2):
-    n_v, n_h1 = params.W1.shape
-    n_h2 = params.W2.shape[1]
+    n_v, n_h1, n_h2 = params.sizes
     if len(v) != n_v or len(h1) != n_h1 or len(h2) != n_h2:
         raise DimensionError(
             f"state ({len(v)},{len(h1)},{len(h2)}) does not match model ({n_v},{n_h1},{n_h2})")
@@ -424,8 +403,7 @@ def save_params(params: DbmParams, path):
             f.write(CHECKPOINT_MAGIC)
             f.write(bytes([CHECKPOINT_VERSION]))
             f.write(struct.pack("<III", s.n_v, s.n_h1, s.n_h2))
-            for a in params.arrays():
-                f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+            f.write(params.vec.astype("<f8", copy=False))  # the raw bytes of vec
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -444,9 +422,9 @@ def load_params(path) -> DbmParams:
         raise CheckpointError(f"unsupported checkpoint version {blob[4]}")
     n_v, n_h1, n_h2 = struct.unpack("<III", blob[5:17])
     shape = DbmShape(n_v, n_h1, n_h2)
-    sizes = [n_v * n_h1, n_h1 * n_h2, n_v, n_h1, n_h2]
-    need = 17 + 8 * sum(sizes)
-    if len(blob) != need:
-        raise CheckpointError(f"checkpoint length {len(blob)} != expected {need}")
-    flat = np.frombuffer(blob, dtype="<f8", offset=17).astype(np.float64)
-    return DbmParams.from_vector(shape, flat).validate()
+    try:  # a body that is not whole f8s, or too few or too many of them
+        flat = np.frombuffer(blob, dtype="<f8", offset=17).astype(np.float64)
+        params = DbmParams.from_vector(shape, flat)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint length {len(blob)}: {exc}") from None
+    return params.validate()

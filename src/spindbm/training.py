@@ -151,10 +151,7 @@ class TrainConfig:
 
 def _shifted(params: DbmParams, step: np.ndarray) -> DbmParams:
     """params + step as a new DbmParams, built in place in step's memory."""
-    o = 0
-    for a in params.arrays():
-        step[o:o + a.size] += a.ravel()
-        o += a.size
+    step += params.vec
     return DbmParams.from_vector(params.shape, step)
 
 
@@ -588,7 +585,7 @@ def unbiasedness_report(params: DbmParams, v: np.ndarray, n_samples: int, seed: 
         def estimate_fn(p, vv, rng):
             posterior, joint, _ = _example_states(p, vv, tau_max, rng)
             return gradient_from_states(p, estimator, posterior, joint)
-    exact = oracle.exact_grad_loglik(params, v).as_vector()
+    exact = oracle.exact_grad_loglik(params, v).vec
     dim = exact.size
     acc = np.zeros(dim)
     acc2 = np.zeros(dim)

@@ -34,6 +34,15 @@ class TestTrain:
         assert main(["train", "--config", cfg]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_missing_out_dir_exits_2_and_writes_nothing(self, tmp_path, tmp_path_factory,
+                                                        monkeypatch, capsys):
+        cfg = write_config(tmp_path_factory.mktemp("cfg") / "c.txt", n_v=4, steps=1,
+                           data="synthetic:2x4")
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--config", cfg]) == 2
+        assert "out_dir" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_steps_zero_writes_initial_checkpoint_only(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "c.txt", n_v=4, n_h1=3, n_h2=2, steps=0,

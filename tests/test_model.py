@@ -1,5 +1,6 @@
 import builtins
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from spindbm import (CheckpointError, DbmParams, DbmShape, DimensionError,
                      grad_energy_odd_posterior, load_params, local_fields_even,
                      local_fields_odd, logcosh, save_params, uniform_spins)
 from spindbm import model, oracle
+from spindbm.training import AdamOptimizer, SgdOptimizer, init_params
 from spindbm.model import grad_energy_vhh
 
 from conftest import random_params
@@ -363,3 +365,139 @@ class TestCheckpoint:
         assert blob[:4] == b"UDBM" and blob[4] == 1
         assert np.frombuffer(blob, dtype="<u4", count=3, offset=5).tolist() == [1, 1, 1]
         assert np.frombuffer(blob, dtype="<f8", offset=17).tolist() == [2, 3, 5, 7, 11]
+
+    def test_byte_layout_of_non_square_model(self, tmp_path):
+        W1 = np.array([[1.5, -2.25, 3.0], [4.125, -5.0, 6.5]])
+        W2 = np.array([[7.75], [-8.0], [9.0625]])
+        b_v, b_h1, b_h2 = np.array([10.5, -11.0]), np.array([12.0, 13.25, -14.5]), np.array([15.0])
+        expected = (b"UDBM" + bytes([1]) + struct.pack("<III", 2, 3, 1)
+                    + struct.pack("<6d", 1.5, -2.25, 3.0, 4.125, -5.0, 6.5)
+                    + struct.pack("<3d", 7.75, -8.0, 9.0625)
+                    + struct.pack("<2d", 10.5, -11.0)
+                    + struct.pack("<3d", 12.0, 13.25, -14.5)
+                    + struct.pack("<d", 15.0))
+        path = tmp_path / "m.udbm"
+        save_params(DbmParams(W1, W2, b_v, b_h1, b_h2), path)
+        assert path.read_bytes() == expected
+        literal = tmp_path / "literal.udbm"
+        literal.write_bytes(expected)
+        loaded = load_params(literal)
+        assert loaded.shape == DbmShape(2, 3, 1)
+        for got, want in zip(loaded.arrays(), (W1, W2, b_v, b_h1, b_h2)):
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_rejects_body_of_wrong_length(self, params_332, tmp_path):
+        path = tmp_path / "model.udbm"
+        save_params(params_332, path)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(CheckpointError, match="length"):
+            load_params(path)
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(CheckpointError):
+            load_params(path)
+
+
+def _made_by(how, tmp_path):
+    """A 4-3-2 DbmParams made the way `how` names."""
+    shape = DbmShape(4, 3, 2)
+    base = random_params(shape, seed=3)
+    grad = GradEstimate.from_vector(shape, np.linspace(-1.0, 1.0, len(base.vec)))
+    if how == "constructor":
+        return base
+    if how == "init_params":
+        return init_params(shape, np.random.default_rng(0))
+    if how == "load_params":
+        save_params(base, tmp_path / "m.udbm")
+        return load_params(tmp_path / "m.udbm")
+    if how == "from_vector":
+        return DbmParams.from_vector(shape, base.as_vector())
+    if how == "zeros":
+        return DbmParams.zeros(shape)
+    if how == "copy":
+        return base.copy()
+    if how == "sgd":
+        return SgdOptimizer(0.1).update(base, grad)
+    if how == "adam":
+        return AdamOptimizer(0.1).update(base, grad)
+    raise AssertionError(how)
+
+
+class TestParamStorage:
+    HOW = ("constructor", "init_params", "load_params", "from_vector", "zeros", "copy",
+           "sgd", "adam")
+
+    @pytest.mark.parametrize("how", HOW)
+    def test_arrays_are_views_of_vec(self, how, tmp_path):
+        p = _made_by(how, tmp_path)
+        assert p.vec.shape == (4 * 3 + 3 * 2 + 4 + 3 + 2,) and p.vec.dtype == np.float64
+        shapes = [(4, 3), (3, 2), (4,), (3,), (2,)]
+        for a, want in zip(p.arrays(), shapes):
+            assert a.shape == want
+            assert np.shares_memory(a, p.vec)
+        assert np.array_equal(np.concatenate([a.ravel() for a in p.arrays()]), p.vec)
+
+    @pytest.mark.parametrize("how", HOW)
+    def test_write_through_b_v_shows_in_vec(self, how, tmp_path):
+        p = _made_by(how, tmp_path)
+        p.b_v[:] = [21.0, 22.0, 23.0, 24.0]
+        assert p.vec[18:22].tolist() == [21.0, 22.0, 23.0, 24.0]
+        assert p.as_vector()[18:22].tolist() == [21.0, 22.0, 23.0, 24.0]
+
+    def test_copy_shares_no_memory(self):
+        p = random_params(DbmShape(4, 3, 2), seed=3)
+        q = p.copy()
+        assert not np.shares_memory(q.vec, p.vec)
+        for a in q.arrays():
+            for b in p.arrays():
+                assert not np.shares_memory(a, b)
+        q.W1[0, 0] += 1.0
+        assert q.W1[0, 0] != p.W1[0, 0]
+
+    def test_as_vector_is_a_copy(self):
+        p = random_params(DbmShape(4, 3, 2), seed=3)
+        assert not np.shares_memory(p.as_vector(), p.vec)
+
+    def test_constructor_copies_its_inputs(self):
+        W1 = np.ones((2, 1))
+        p = DbmParams(W1, np.ones((1, 1)), np.ones(2), np.ones(1), np.ones(1))
+        W1[0, 0] = 5.0
+        assert p.W1[0, 0] == 1.0
+
+    @pytest.mark.parametrize("parts", [
+        ((3, 2), (3, 1), (3,), (2,), (1,)),   # W2 rows != n_h1
+        ((3, 2), (2, 1), (2,), (2,), (1,)),   # b_v
+        ((3, 2), (2, 1), (3,), (3,), (1,)),   # b_h1
+        ((3, 2), (2, 1), (3,), (2,), (2,)),   # b_h2
+        ((3, 2), (2, 1), (3, 1), (2,), (1,)),  # b_v not a vector
+        ((6,), (2, 1), (3,), (2,), (1,)),     # W1 not a matrix
+    ])
+    def test_mismatched_shapes_raise_at_construction(self, parts):
+        with pytest.raises(DimensionError):
+            DbmParams(*(np.zeros(s) for s in parts))
+
+    def test_from_vector_rejects_wrong_length(self):
+        with pytest.raises(DimensionError):
+            DbmParams.from_vector(DbmShape(2, 2, 1), np.zeros(10))
+
+    def test_from_vector_wraps_without_copy(self):
+        vec = np.arange(11.0)
+        p = DbmParams.from_vector(DbmShape(2, 2, 1), vec)
+        assert np.shares_memory(p.vec, vec)
+        assert p.W2.tolist() == [[4.0], [5.0]] and p.b_h2.tolist() == [10.0]
+
+    def test_gradients_are_views_of_vec(self, rng):
+        shape = DbmShape(4, 3, 2)
+        x = JointState(uniform_spins(4, rng), uniform_spins(3, rng), uniform_spins(2, rng))
+        g = grad_energy_vhh(x.v, x.h1, x.h2)
+        made = [g, GradEstimate.zeros(shape), g + g, g - g, -g, 2.0 * g, g.copy(),
+                GradEstimate.from_parts(*g.arrays())]
+        for e in made:
+            assert isinstance(e, GradEstimate) and e.sizes == (4, 3, 2)
+            for a in (e.dW1, e.dW2, e.db_v, e.db_h1, e.db_h2):
+                assert np.shares_memory(a, e.vec)
+        assert np.array_equal(g.dW1, -np.outer(x.v, x.h1))
+        assert np.array_equal(g.db_h2, -x.h2)
+
+    def test_rbm_layout_has_empty_second_layer(self):
+        p = DbmParams.zeros(DbmShape(3, 2, 0))
+        assert p.W2.shape == (2, 0) and p.b_h2.shape == (0,) and len(p.vec) == 11
