@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -23,12 +24,10 @@ from .training import (ESTIMATORS, TrainConfig, default_check_model, rng_for,
                        sample, train, unbiasedness_report)
 from .training import complete as complete_fn
 
-CONFIG_KEYS = ("n_v", "n_h1", "n_h2", "learning_rate", "optimizer", "batch_size",
-               "steps", "seed", "tau_max", "estimator", "truncation_policy",
-               "checkpoint_every", "pcd_k", "data", "out_dir", "resume")
-
-_INT_KEYS = {"n_v", "n_h1", "n_h2", "batch_size", "steps", "seed", "tau_max",
-             "checkpoint_every", "pcd_k"}
+# Every TrainConfig field but shape has a default of its own type (int,
+# float or str), which parses its value; the shape's sizes are read first.
+_PARSERS = {f.name: type(f.default) for f in fields(TrainConfig) if f.name != "shape"}
+CONFIG_KEYS = (*(f.name for f in fields(DbmShape)), *_PARSERS)
 
 
 class ConfigError(ValueError):
@@ -66,17 +65,7 @@ def build_train_config(file_values: dict, overrides: dict) -> TrainConfig:
         raise ConfigError("n_v is required") from None
     n_h1 = int(vals.get("n_h1", n_v))   # hidden layers default to the visible size
     n_h2 = int(vals.get("n_h2", n_h1))
-    kwargs = {}
-    for key in CONFIG_KEYS[3:]:
-        if key not in vals:
-            continue
-        raw = vals[key]
-        if key in _INT_KEYS:
-            kwargs[key] = int(raw)
-        elif key == "learning_rate":
-            kwargs[key] = float(raw)
-        else:
-            kwargs[key] = str(raw)
+    kwargs = {key: parse(vals[key]) for key, parse in _PARSERS.items() if key in vals}
     try:
         cfg = TrainConfig(shape=DbmShape(n_v, n_h1, n_h2), **kwargs).validate()
     except ValueError as exc:

@@ -28,8 +28,8 @@ from functools import partial
 
 import numpy as np
 
-from .model import (DbmParams, GradEstimate, HiddenState, JointState, energy_vhh,
-                    is_spin, split_state, uniform_spins)
+from .model import (DbmParams, GradEstimate, HiddenState, JointState, check_joint,
+                    energy_vhh, is_spin, split_state, uniform_spins, v_share)
 from .search import block_pass, gibbs_sweep_joint, sweep_uniforms
 
 DEFAULT_TAU_MAX_MH = 10_000
@@ -70,11 +70,11 @@ def _posterior_energy(params: DbmParams, v: np.ndarray):
     """Joint energy at clamped v as a function of one concatenated (h1, h2) vector.
 
     The one energy besides model.energy_vhh on the sampler side: v's share
-    of the h1 field (c = W1'v + b_h1) and the constant b_v'v are hoisted
+    of the h1 field (c = model.v_share(v)) and the constant b_v'v are hoisted
     out of the proposal loop, which saves an n_v x n_h1 gemv (6272 x 500 at
     image scale) per proposal.
     """
-    c = params.W1.T @ v + params.b_h1
+    c = v_share(params, v)
     const = float(params.b_v @ v)
     W2, b_h2 = params.W2, params.b_h2
     n_h1, n_h2 = W2.shape
@@ -137,6 +137,7 @@ def _mh_chains(energy, split, start, n_steps: int, rng: np.random.Generator,
 def mh_couple_joint(params: DbmParams, x0: JointState, tau_max: int = DEFAULT_TAU_MAX_MH,
                     rng: np.random.Generator = None, keep_states: bool = True) -> CoupledRun:
     """Couple two uniform-proposal MH chains on the joint state, starting at x0."""
+    check_joint(params, x0.v, x0.h1, x0.h2)
     return _mh_chains(_joint_energy(params), partial(split_state, params.shape), x0,
                       tau_max, rng, keep_states=keep_states)
 
@@ -150,6 +151,7 @@ def mh_couple_posterior(params: DbmParams, v: np.ndarray, h0: HiddenState,
     Both acceptance ratios use the joint energy at the clamped v, so the
     chains target the posterior over (h1, h2).
     """
+    check_joint(params, v, h0.h1, h0.h2)
     n_h1 = params.W1.shape[1]
 
     def split_hidden(h):
@@ -167,6 +169,7 @@ def mh_coupled_trajectory(params: DbmParams, x0: JointState, n_steps: int,
     ys = [y_0 .. y_{n-1}] so marginal laws and the stay-merged property
     can be checked directly.
     """
+    check_joint(params, x0.v, x0.h1, x0.h2)
     run = _mh_chains(_joint_energy(params), partial(split_state, params.shape), x0,
                      n_steps, rng, stop_at_meeting=False)
     return run.x_states, run.y_states

@@ -9,9 +9,10 @@ conditionals, block-wise energy minimization, and single-block
 marginalization all tractable.
 
 This module holds the parameter and state containers, the joint energy,
-the local fields that define the block conditionals, the three marginal
-energies obtained by analytically summing out one block, and the exact
-analytic gradients of every energy with respect to the parameters.
+the local fields that define the block conditionals (one kernel for one
+state or a stack of rows), the three marginal energies obtained by
+analytically summing out one block, and the exact analytic gradients of
+every energy with respect to the parameters.
 All functions are pure; arrays are float64 throughout.
 """
 
@@ -272,7 +273,8 @@ def _one_row(v_like: np.ndarray, h1_like: np.ndarray, h2_like: np.ndarray) -> Gr
     return grad_from_rows(v_like[None, :], h1_like[None, :], h2_like[None, :], _ONE)
 
 
-def _check_joint(params: DbmParams, v, h1, h2):
+def check_joint(params: DbmParams, v, h1, h2):
+    """Raise DimensionError unless (v, h1, h2) has the model's layer sizes."""
     n_v, n_h1, n_h2 = params.sizes
     if len(v) != n_v or len(h1) != n_h1 or len(h2) != n_h2:
         raise DimensionError(
@@ -280,21 +282,38 @@ def _check_joint(params: DbmParams, v, h1, h2):
 
 
 # ---------------------------------------------------------------------------
-# energies
+# local fields
 # ---------------------------------------------------------------------------
+# The one place the block fields are written. Each function takes one state
+# (1-D) or R states stacked as rows (R, n) and returns its field(s) in the
+# same layout. The row-vector products are the same BLAS calls on a 1-D
+# state as the W'x form, so a state gives the same bits either way.
 
-def energy(params: DbmParams, x: JointState) -> float:
-    """Joint energy -v'W1h1 - h1'W2h2 - b_v'v - b_h1'h1 - b_h2'h2."""
-    _check_joint(params, x.v, x.h1, x.h2)
-    return energy_vhh(params, x.v, x.h1, x.h2)
+def v_share(params: DbmParams, V: np.ndarray) -> np.ndarray:
+    """v's share of the h1 field, V W1 + b_h1; hoisted while v is clamped."""
+    return V @ params.W1 + params.b_h1
 
 
-def energy_vhh(params: DbmParams, v, h1, h2) -> float:
-    """The joint energy of (v, h1, h2); the MH couplers' acceptance energy."""
-    if params.W2.shape[1]:
-        return (-float((v @ params.W1) @ h1) - float((h1 @ params.W2) @ h2)
-                - float(params.b_v @ v) - float(params.b_h1 @ h1) - float(params.b_h2 @ h2))
-    return -float((v @ params.W1) @ h1) - float(params.b_v @ v) - float(params.b_h1 @ h1)
+def h1_field(params: DbmParams, V, H2: np.ndarray, c=None) -> np.ndarray:
+    """Field of h1 given v and h2: V W1 + H2 W2' + b_h1, or c + H2 W2' with c = v_share(V)."""
+    if c is None:
+        return V @ params.W1 + H2 @ params.W2.T + params.b_h1
+    return c + H2 @ params.W2.T
+
+
+def v_field(params: DbmParams, H1: np.ndarray, rows=None) -> np.ndarray:
+    """Field of v given h1: H1 W1' + b_v.
+
+    rows = (free, W1[free], b_v[free]) gives the field of the free units only.
+    """
+    if rows is None:
+        return H1 @ params.W1.T + params.b_v
+    return H1 @ rows[1].T + rows[2]
+
+
+def h2_field(params: DbmParams, H1: np.ndarray) -> np.ndarray:
+    """Field of h2 given h1: H1 W2 + b_h2."""
+    return H1 @ params.W2 + params.b_h2
 
 
 def local_fields_even(params: DbmParams, h1: np.ndarray):
@@ -305,16 +324,32 @@ def local_fields_even(params: DbmParams, h1: np.ndarray):
     """
     if len(h1) != params.W1.shape[1]:
         raise DimensionError("h1 length does not match W1")
-    a_v = params.W1 @ h1 + params.b_v
-    a_h2 = params.W2.T @ h1 + params.b_h2
-    return a_v, a_h2
+    return v_field(params, h1), h2_field(params, h1)
 
 
 def local_fields_odd(params: DbmParams, v: np.ndarray, h2: np.ndarray) -> np.ndarray:
     """Field of the odd block (h1) given v and h2: W1'v + W2 h2 + b_h1."""
     if len(v) != params.W1.shape[0] or len(h2) != params.W2.shape[1]:
         raise DimensionError("v/h2 lengths do not match the weights")
-    return params.W1.T @ v + params.W2 @ h2 + params.b_h1
+    return h1_field(params, v, h2)
+
+
+# ---------------------------------------------------------------------------
+# energies
+# ---------------------------------------------------------------------------
+
+def energy(params: DbmParams, x: JointState) -> float:
+    """Joint energy -v'W1h1 - h1'W2h2 - b_v'v - b_h1'h1 - b_h2'h2."""
+    check_joint(params, x.v, x.h1, x.h2)
+    return energy_vhh(params, x.v, x.h1, x.h2)
+
+
+def energy_vhh(params: DbmParams, v, h1, h2) -> float:
+    """The joint energy of (v, h1, h2); the MH couplers' acceptance energy."""
+    if params.W2.shape[1]:
+        return (-float((v @ params.W1) @ h1) - float((h1 @ params.W2) @ h2)
+                - float(params.b_v @ v) - float(params.b_h1 @ h1) - float(params.b_h2 @ h2))
+    return -float((v @ params.W1) @ h1) - float(params.b_v @ v) - float(params.b_h1 @ h1)
 
 
 def energy_even_marginal(params: DbmParams, v: np.ndarray, h2: np.ndarray) -> float:
@@ -346,8 +381,7 @@ def energy_odd_posterior(params: DbmParams, v: np.ndarray, h1: np.ndarray) -> fl
         raise DimensionError("v/h1 lengths do not match W1")
     e = -float((v @ params.W1) @ h1) - float(params.b_v @ v) - float(params.b_h1 @ h1)
     if params.W2.shape[1]:
-        d = params.W2.T @ h1 + params.b_h2
-        e -= float(np.sum(logcosh(d)))
+        e -= float(np.sum(logcosh(h2_field(params, h1))))
     return e
 
 
@@ -357,7 +391,7 @@ def energy_odd_posterior(params: DbmParams, v: np.ndarray, h1: np.ndarray) -> fl
 
 def grad_energy(params: DbmParams, x: JointState) -> GradEstimate:
     """Gradient of the joint energy: dW1 = -v h1', dW2 = -h1 h2', db = -units."""
-    _check_joint(params, x.v, x.h1, x.h2)
+    check_joint(params, x.v, x.h1, x.h2)
     return grad_energy_vhh(x.v, x.h1, x.h2)
 
 
@@ -380,7 +414,7 @@ def grad_energy_odd_posterior(params: DbmParams, v: np.ndarray, h1: np.ndarray) 
     """Gradient of energy_odd_posterior: only h2 is replaced by tanh of its field."""
     if len(v) != params.W1.shape[0] or len(h1) != params.W1.shape[1]:
         raise DimensionError("v/h1 lengths do not match W1")
-    return _one_row(v, h1, np.tanh(params.W2.T @ h1 + params.b_h2))
+    return _one_row(v, h1, np.tanh(h2_field(params, h1)))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .model import DbmParams, HiddenState, JointState, is_spin, uniform_spins
+from .model import (DbmParams, HiddenState, JointState, check_joint, h1_field, h2_field,
+                    is_spin, uniform_spins, v_field, v_share)
 
 
 class SearchDivergenceError(RuntimeError):
@@ -52,19 +53,6 @@ def _spins(field: np.ndarray, u) -> np.ndarray:
     return np.where(u < expit(2.0 * field), 1.0, -1.0)
 
 
-def _odd_field(params: DbmParams, v, h2, c):
-    return params.W1.T @ v + params.W2 @ h2 + params.b_h1 if c is None else c + params.W2 @ h2
-
-
-def _v_field(params: DbmParams, h1, rows):
-    """v's field over its free rows: all of v, or rows = (free, W1[free], b_v[free])."""
-    return params.W1 @ h1 + params.b_v if rows is None else rows[1] @ h1 + rows[2]
-
-
-def _h2_field(params: DbmParams, h1):
-    return params.W2.T @ h1 + params.b_h2
-
-
 def _set_free(v, v_free, rows):
     """v with its free rows replaced by v_free."""
     if rows is None:
@@ -80,19 +68,19 @@ def block_pass(params: DbmParams, v, h1, h2, even_first: bool, uniforms=_THRESHO
 
     uniforms = (u_v, u_h1, u_h2) picks each block's update: None sets it to
     the sign of its field, an array draws its spins from those uniforms
-    (see sweep_uniforms). v is free by default. c = W1'v + b_h1 fixes v and
-    is v's hoisted share of the h1 field (posterior passes). rows =
+    (see sweep_uniforms). v is free by default. c = model.v_share(v) fixes v
+    and is v's hoisted share of the h1 field (posterior passes). rows =
     (free, W1[free], b_v[free]) moves only the free visible units (u_v then
     covers those rows); the others keep their values in v.
     """
     u_v, u_h1, u_h2 = uniforms
     if not even_first:
-        h1 = _spins(_odd_field(params, v, h2, c), u_h1)
+        h1 = _spins(h1_field(params, v, h2, c), u_h1)
     if c is None:
-        v = _set_free(v, _spins(_v_field(params, h1, rows), u_v), rows)
-    h2 = _spins(_h2_field(params, h1), u_h2)
+        v = _set_free(v, _spins(v_field(params, h1, rows), u_v), rows)
+    h2 = _spins(h2_field(params, h1), u_h2)
     if even_first:
-        h1 = _spins(_odd_field(params, v, h2, c), u_h1)
+        h1 = _spins(h1_field(params, v, h2, c), u_h1)
     return v, h1, h2
 
 
@@ -115,12 +103,14 @@ def block_minimize_joint(params: DbmParams, v, h1, h2, even_first: bool):
 
     Applying this to a local-search result must leave it unchanged.
     """
+    check_joint(params, v, h1, h2)
     return block_pass(params, v, h1, h2, even_first)
 
 
 def block_minimize_posterior(params: DbmParams, v, h1, h2, even_first: bool):
     """One block-minimization pass over (h1, h2) with v clamped."""
-    return block_pass(params, v, h1, h2, even_first, c=params.W1.T @ v + params.b_h1)[1:]
+    check_joint(params, v, h1, h2)
+    return block_pass(params, v, h1, h2, even_first, c=v_share(params, v))[1:]
 
 
 def _state(v, h1, h2, posterior: bool):
@@ -168,7 +158,7 @@ def _fixed_point(params: DbmParams, v, rng, max_iterations, trace, c=None,
         for odd in ((False, True) if even_first else (True, False)):
             if odd:
                 if not odd_ok:
-                    a_h1, odd_ok, odd_drift = _odd_field(params, v, h2, c), True, False
+                    a_h1, odd_ok, odd_drift = h1_field(params, v, h2, c), True, False
                 h1_new = _spins(a_h1, None)
                 flip = h1_new != h1
                 n = np.count_nonzero(flip)
@@ -186,8 +176,8 @@ def _fixed_point(params: DbmParams, v, rng, max_iterations, trace, c=None,
                     h1 = h1_new
             else:
                 if not even_ok:
-                    a_v = None if posterior else _v_field(params, h1, rows)
-                    a_h2, even_ok, even_drift = _h2_field(params, h1), True, False
+                    a_v = None if posterior else v_field(params, h1, rows)
+                    a_h2, even_ok, even_drift = h2_field(params, h1), True, False
                 h2_new = _spins(a_h2, None)
                 flip_h2 = h2_new != h2
                 n_h2_flips = np.count_nonzero(flip_h2)
@@ -240,8 +230,7 @@ def local_search_posterior(params: DbmParams, v: np.ndarray, rng: np.random.Gene
                            max_iterations: int | None = None,
                            trace: list | None = None) -> SearchResult:
     """Block-minimize the posterior energy over (h1, h2) with v clamped."""
-    return _fixed_point(params, v, rng, max_iterations, trace,
-                        c=params.W1.T @ v + params.b_h1)
+    return _fixed_point(params, v, rng, max_iterations, trace, c=v_share(params, v))
 
 
 def local_search_clamped(params: DbmParams, v_observed: np.ndarray, observed: np.ndarray,
@@ -270,6 +259,7 @@ def local_search_clamped(params: DbmParams, v_observed: np.ndarray, observed: np
 
 def gibbs_sweep_joint(params: DbmParams, x: JointState, rng: np.random.Generator) -> JointState:
     """One full Gibbs sweep over both blocks, order chosen by a coin flip."""
+    check_joint(params, x.v, x.h1, x.h2)
     even_first = rng.random() < 0.5
     u = sweep_uniforms(rng, even_first, len(x.v), len(x.h1), len(x.h2))
     return JointState(*block_pass(params, x.v, x.h1, x.h2, even_first, u))
@@ -278,7 +268,8 @@ def gibbs_sweep_joint(params: DbmParams, x: JointState, rng: np.random.Generator
 def gibbs_sweep_posterior(params: DbmParams, v: np.ndarray, h: HiddenState,
                           rng: np.random.Generator) -> HiddenState:
     """One full Gibbs sweep over (h1, h2) with v clamped."""
-    c = params.W1.T @ v + params.b_h1
+    check_joint(params, v, h.h1, h.h2)
+    c = v_share(params, v)
     even_first = rng.random() < 0.5
     u = sweep_uniforms(rng, even_first, 0, len(h.h1), len(h.h2))
     _, h1, h2 = block_pass(params, v, h.h1, h.h2, even_first, u, c)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from . import oracle
 from .coupling import (DEFAULT_TAU_MAX_MH, CouplingTruncatedError,
                        mh_couple_joint, mh_couple_posterior, mh_step,
                        telescope_terms)
-from .model import (DbmParams, DbmShape, GradEstimate, JointState, grad_from_rows,
-                    load_params, save_params, uniform_spins)
+from .model import (DbmParams, DbmShape, GradEstimate, JointState, grad_from_rows, h1_field,
+                    h2_field, load_params, save_params, uniform_spins, v_field, v_share)
 # Not called here; perfbench/tracer.py wraps these names in this module,
 # so they stay importable from it.
 from .coupling import telescope_estimate  # noqa: F401
@@ -137,12 +137,12 @@ class TrainConfig:
         return self
 
     def items(self):
-        s = self.shape
-        yield from (("n_v", s.n_v), ("n_h1", s.n_h1), ("n_h2", s.n_h2))
-        for k in ("learning_rate", "optimizer", "batch_size", "steps", "seed",
-                  "tau_max", "estimator", "truncation_policy", "checkpoint_every",
-                  "pcd_k", "data", "out_dir", "resume"):
-            yield k, getattr(self, k)
+        """(key, value) in config-file order: the shape's sizes, then the other fields."""
+        for f in fields(self.shape):
+            yield f.name, getattr(self.shape, f.name)
+        for f in fields(self):
+            if f.name != "shape":
+                yield f.name, getattr(self, f.name)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +250,9 @@ def gradient_from_states(params: DbmParams, estimator: str, posterior: list, joi
     if estimator == "plain":
         return grad_from_rows(V, H1, H2, w)
     n_pos = len(posterior)
-    T1 = np.tanh(V @ params.W1 + H2 @ params.W2.T + params.b_h1)
-    T2 = np.tanh(H1 @ params.W2 + params.b_h2)
-    Tv = np.tanh(H1[n_pos:] @ params.W1.T + params.b_v)
+    T1 = np.tanh(h1_field(params, V, H2))
+    T2 = np.tanh(h2_field(params, H1))
+    Tv = np.tanh(v_field(params, H1[n_pos:]))
     half = 0.5 * w
     return grad_from_rows(np.concatenate([V, V[:n_pos], Tv]), np.concatenate([T1, H1]),
                           np.concatenate([H2, T2]), np.concatenate([half, half]))
@@ -410,12 +410,12 @@ class MeanFieldState:
 def mean_field_posterior(params: DbmParams, v: np.ndarray, damping: float = 0.5,
                          tol: float = 1e-4, max_iters: int = 50) -> MeanFieldState:
     """Damped tanh fixed-point iteration for the factorized posterior given v."""
-    c = params.W1.T @ v + params.b_h1
+    c = v_share(params, v)
     mu1 = np.zeros(params.W1.shape[1])
     mu2 = np.zeros(params.W2.shape[1])
     for it in range(1, max_iters + 1):
-        new1 = (1.0 - damping) * mu1 + damping * np.tanh(c + params.W2 @ mu2)
-        new2 = (1.0 - damping) * mu2 + damping * np.tanh(params.W2.T @ new1 + params.b_h2)
+        new1 = (1.0 - damping) * mu1 + damping * np.tanh(h1_field(params, v, mu2, c))
+        new2 = (1.0 - damping) * mu2 + damping * np.tanh(h2_field(params, new1))
         delta = max(float(np.max(np.abs(new1 - mu1), initial=0.0)),
                     float(np.max(np.abs(new2 - mu2), initial=0.0)))
         mu1, mu2 = new1, new2

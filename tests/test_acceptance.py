@@ -90,6 +90,7 @@ def test_criterion_01_coupling_time_concentration():
     report(1, f"tau=1 fractions {fracs} over 1000 replicates per dim")
 
 
+@pytest.mark.slow
 def test_criterion_02_gibbs_coupling_blowup():
     # Gibbs coupling mean total steps grows >= 10x from d=25 to d=200
     # (truncations counted at tau_max; tau_max bounds the runtime)
@@ -105,6 +106,7 @@ def test_criterion_02_gibbs_coupling_blowup():
               f"at tau_max={tau_max})")
 
 
+@pytest.mark.slow
 def test_criterion_03_unbiasedness_oracle(estimator_moments):
     # componentwise mean of 2e5 estimates within 4 standard errors of exact
     m = estimator_moments
@@ -122,6 +124,7 @@ def test_criterion_03_unbiasedness_oracle(estimator_moments):
               f"marginalized {worst['marginalized']:.2f} (threshold 4)")
 
 
+@pytest.mark.slow
 def test_criterion_04_marginalization_equivalence_and_variance(check_model,
                                                                estimator_moments):
     params, v = check_model
@@ -171,6 +174,7 @@ def test_criterion_05_gradient_correctness():
     report(5, f"4 gradient forms x 20 models; worst relative deviation {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_06_coupling_faithfulness():
     # empirical laws of x_t and y_t agree within TV 0.02 at t = 1, 2, 3
     params = random_params(sd.DbmShape(3, 3, 2), seed=11)
@@ -210,6 +214,7 @@ def test_criterion_07_mh_stationarity_and_detailed_balance():
               f"detailed-balance relative residual {worst_db:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_08_local_search_soundness():
     worst_steps = 0
     for d, n_runs in ((8, 10_000), (200, 10_000)):
@@ -235,6 +240,7 @@ def test_criterion_08_local_search_soundness():
               f"caps never hit), energies strictly decreasing, block fixed points")
 
 
+@pytest.mark.slow
 def test_criterion_09_end_to_end_learning_signal(tmp_path):
     # adam rather than raw SGD: at this 24-unit scale the telescoping
     # estimator has rare huge excursions that raw SGD cannot absorb

@@ -1,10 +1,11 @@
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from spindbm import DbmParams, DbmShape, load_params, save_params
-from spindbm.cli import main
+from spindbm import DbmParams, DbmShape, TrainConfig, load_params, save_params
+from spindbm.cli import CONFIG_KEYS, build_train_config, main, parse_config_file
 from spindbm.data import read_pgm
 
 from test_training import nan_at_step_3
@@ -106,6 +107,36 @@ class TestTrain:
         # resumed run starts from the checkpoint, not a fresh init
         assert load_params(out2 / "ckpt-000000.udbm").as_vector().tolist() \
             == load_params(ckpt).as_vector().tolist()
+
+
+class TestConfigKeys:
+    def test_every_field_round_trips_through_a_config_file(self, tmp_path):
+        cfg = TrainConfig(DbmShape(5, 4, 3), learning_rate=0.25, optimizer="amsgrad",
+                          batch_size=3, steps=7, seed=11, tau_max=123, estimator="plain",
+                          truncation_policy="drop_sample", checkpoint_every=2, pcd_k=4,
+                          data="synthetic:2x5", out_dir=str(tmp_path / "out"),
+                          resume=str(tmp_path / "c.udbm"))
+        defaults = TrainConfig(DbmShape(1, 1, 1))
+        # no field can come back equal by falling back to its default
+        assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
+                   for f in fields(TrainConfig))
+        assert [k for k, _ in cfg.items()] == list(CONFIG_KEYS)
+        path = write_config(tmp_path / "c.txt", **dict(cfg.items()))
+        assert build_train_config(parse_config_file(path), {}) == cfg
+
+    def test_log_header_lines(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.txt", n_v=4, steps=0, data="synthetic:2x4",
+                           out_dir=str(out))
+        assert main(["train", "--config", cfg]) == 0
+        header = [l for l in (out / "train_log.csv").read_text().splitlines()
+                  if l.startswith("#")]
+        assert header == ["# n_v=4", "# n_h1=4", "# n_h2=4", "# learning_rate=0.01",
+                          "# optimizer=sgd", "# batch_size=1", "# steps=0", "# seed=0",
+                          "# tau_max=10000", "# estimator=marginalized",
+                          "# truncation_policy=error", "# checkpoint_every=100",
+                          "# pcd_k=1", "# data=synthetic:2x4", f"# out_dir={out}",
+                          "# resume="]
 
 
 class TestSample:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spindbm import (CoupledRun, CouplingTruncatedError, DbmParams, DbmShape,
-                     HiddenState, JointState, coupling_time_stats, energy,
+                     DimensionError, HiddenState, JointState, coupling_time_stats, energy,
                      gibbs_couple_joint, grad_energy, mh_couple_joint,
                      mh_couple_posterior, mh_coupled_trajectory, mh_step,
                      telescope_estimate, uniform_spins)
@@ -271,6 +271,34 @@ class TestMhStep:
             mh_couple_joint(params, bad, 10, rng)
         with pytest.raises(ValueError):
             mh_step(params, bad, rng)
+
+
+class TestStartSizes:
+    """Every MH coupler checks the start's block sizes against the model."""
+
+    SHAPE = DbmShape(4, 3, 2)
+
+    # (5, 3, 1) and (4, 2, 3) have the model's total length, so only the
+    # check tells them apart from a valid start
+    @pytest.mark.parametrize("sizes", [(5, 3, 1), (4, 2, 3), (3, 3, 2), (4, 4, 2), (4, 3, 1)],
+                             ids=str)
+    def test_joint_couplers_reject_mismatched_start(self, sizes, rng):
+        params = random_params(self.SHAPE, seed=1)
+        x0 = JointState(*(uniform_spins(n, rng) for n in sizes))
+        with pytest.raises(DimensionError):
+            mh_couple_joint(params, x0, 100, rng)
+        with pytest.raises(DimensionError):
+            mh_coupled_trajectory(params, x0, 3, rng)
+        with pytest.raises(DimensionError):
+            mh_step(params, x0, rng)
+
+    @pytest.mark.parametrize("sizes", [(5, 3, 2), (3, 3, 2), (4, 2, 3), (4, 4, 1), (4, 3, 3)],
+                             ids=str)
+    def test_posterior_coupler_rejects_mismatched_v_or_start(self, sizes, rng):
+        params = random_params(self.SHAPE, seed=1)
+        v, h1, h2 = (uniform_spins(n, rng) for n in sizes)
+        with pytest.raises(DimensionError):
+            mh_couple_posterior(params, v, HiddenState(h1, h2), 100, rng)
 
 
 class TestCouplingTimeStats:

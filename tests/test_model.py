@@ -137,6 +137,67 @@ class TestLocalFields:
                     assert abs(expit(2 * fields[i]) - p_exact) < 1e-12
 
 
+_KERNEL_SHAPES = [DbmShape(3, 3, 2), DbmShape(16, 16, 8), DbmShape(130, 40, 20),
+                  DbmShape(6, 5, 0)]
+
+
+def _free_rows(params, free):
+    return (free, params.W1[free], params.b_v[free])
+
+
+class TestFieldKernel:
+    """model's field kernel: one state against the W'x form, rows against stacked states."""
+
+    @pytest.mark.parametrize("shape", _KERNEL_SHAPES, ids=str)
+    @pytest.mark.parametrize("kind", ["spins", "means"])
+    def test_one_state_equals_transposed_form_bit_for_bit(self, shape, kind):
+        params = random_params(shape, seed=3)
+        r = np.random.default_rng(4)
+        if kind == "spins":
+            v, h1, h2 = (uniform_spins(n, r) for n in (shape.n_v, shape.n_h1, shape.n_h2))
+        else:  # mean-field floats in (-1, 1)
+            v, h1, h2 = (np.tanh(r.standard_normal(n))
+                         for n in (shape.n_v, shape.n_h1, shape.n_h2))
+        W1, W2, b_v, b_h1, b_h2 = params.arrays()
+        c = W1.T @ v + b_h1
+        assert np.array_equal(model.v_share(params, v), c)
+        assert np.array_equal(model.h1_field(params, v, h2), W1.T @ v + W2 @ h2 + b_h1)
+        assert np.array_equal(model.h1_field(params, v, h2, c), c + W2 @ h2)
+        assert np.array_equal(model.v_field(params, h1), W1 @ h1 + b_v)
+        assert np.array_equal(model.h2_field(params, h1), W2.T @ h1 + b_h2)
+        contiguous = slice(1, shape.n_v - 1)
+        scattered = np.arange(0, shape.n_v, 2)
+        for free in (contiguous, scattered):
+            assert np.array_equal(model.v_field(params, h1, _free_rows(params, free)),
+                                  W1[free] @ h1 + b_v[free])
+
+    @pytest.mark.parametrize("shape", _KERNEL_SHAPES, ids=str)
+    def test_rows_equal_stacked_single_states(self, shape):
+        params = random_params(shape, seed=5)
+        r = np.random.default_rng(6)
+        n_rows = 7
+        V = np.where(r.random((n_rows, shape.n_v)) < 0.5, 1.0, -1.0)
+        H1 = np.tanh(r.standard_normal((n_rows, shape.n_h1)))
+        H2 = np.where(r.random((n_rows, shape.n_h2)) < 0.5, 1.0, -1.0)
+        C = model.v_share(params, V)
+        rows = _free_rows(params, np.arange(0, shape.n_v, 2))
+        cases = [
+            (C, [model.v_share(params, v) for v in V]),
+            (model.h1_field(params, V, H2), [model.h1_field(params, v, h2)
+                                             for v, h2 in zip(V, H2)]),
+            (model.h1_field(params, V, H2, C), [model.h1_field(params, v, h2, c)
+                                                for v, h2, c in zip(V, H2, C)]),
+            (model.v_field(params, H1), [model.v_field(params, h1) for h1 in H1]),
+            (model.v_field(params, H1, rows), [model.v_field(params, h1, rows) for h1 in H1]),
+            (model.h2_field(params, H1), [model.h2_field(params, h1) for h1 in H1]),
+        ]
+        for batch, singles in cases:
+            stacked = np.stack(singles)
+            assert batch.shape == stacked.shape
+            scale = np.max(np.abs(stacked), initial=0.0)
+            assert np.max(np.abs(batch - stacked), initial=0.0) <= 1e-12 * scale
+
+
 class TestMarginalEnergies:
     def test_zero_params_zero(self, rng):
         params = DbmParams.zeros(DbmShape(3, 3, 2))

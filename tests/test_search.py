@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from spindbm import (DbmParams, DbmShape, HiddenState, JointState,
+from spindbm import (DbmParams, DbmShape, DimensionError, HiddenState, JointState,
                      block_minimize_joint, block_minimize_posterior, energy,
                      enumerate_joint, gibbs_sweep_joint, gibbs_sweep_posterior,
                      init_params, local_search_clamped, local_search_joint,
@@ -154,6 +154,38 @@ class TestLocalSearchClamped:
                                  np.ones(3, dtype=bool), rng)
 
 
+class TestStateSizes:
+    """Block passes and sweeps check the state's block sizes against the model."""
+
+    SHAPE = DbmShape(4, 3, 2)
+
+    @staticmethod
+    def _state_with_wrong(block, rng):
+        sizes = {"v": 4, "h1": 3, "h2": 2}
+        sizes[block] += 1
+        return tuple(uniform_spins(n, rng) for n in sizes.values())
+
+    @pytest.mark.parametrize("even_first", [True, False])
+    @pytest.mark.parametrize("block", ["v", "h1", "h2"])
+    def test_block_minimize_rejects_wrong_block(self, even_first, block, rng):
+        params = random_params(self.SHAPE, seed=4)
+        v, h1, h2 = self._state_with_wrong(block, rng)
+        with pytest.raises(DimensionError):
+            block_minimize_joint(params, v, h1, h2, even_first)
+        with pytest.raises(DimensionError):
+            block_minimize_posterior(params, v, h1, h2, even_first)
+
+    @pytest.mark.parametrize("block", ["v", "h1", "h2"])
+    def test_gibbs_sweeps_reject_wrong_block(self, block, rng):
+        params = random_params(self.SHAPE, seed=4)
+        v, h1, h2 = self._state_with_wrong(block, rng)
+        for _ in range(4):  # the coin flip picks either block order
+            with pytest.raises(DimensionError):
+                gibbs_sweep_joint(params, JointState(v, h1, h2), rng)
+            with pytest.raises(DimensionError):
+                gibbs_sweep_posterior(params, v, HiddenState(h1, h2), rng)
+
+
 class TestGibbsSweeps:
     def test_zero_params_units_are_fair_coins(self, rng):
         params = DbmParams.zeros(DbmShape(3, 2, 1))
@@ -166,6 +198,7 @@ class TestGibbsSweeps:
         mean = acc / n
         assert np.all(np.abs(mean) < 4.0 / np.sqrt(n))
 
+    @pytest.mark.slow
     def test_long_chain_matches_boltzmann(self, rng):
         # total-variation agreement with the enumerated distribution
         params = random_params(DbmShape(2, 2, 1), seed=5, scale=0.8)
