@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Subcommands: train, sample, complete, bench, oracle-check. Exit codes:
-0 on success, 1 on runtime failure, 2 on usage or configuration errors.
+Subcommands: train, sample, complete, bench, oracle-check. Exit codes: 0 on
+success, 2 on usage or configuration errors, 1 on any other failure.
 Training is configured by a flat UTF-8 key=value file (# comments
 allowed); command-line flags override the file, which overrides the
 built-in defaults.
@@ -20,8 +20,8 @@ from . import bench as bench_mod
 from . import data as data_mod
 from .coupling import DEFAULT_TAU_MAX_MH
 from .model import DbmShape, load_params
-from .training import (ESTIMATORS, TrainConfig, default_check_model, rng_for,
-                       sample, train, unbiasedness_report)
+from .training import (ESTIMATORS, Z_THRESHOLD, TrainConfig, default_check_model,
+                       rng_for, sample, train, unbiasedness_report)
 from .training import complete as complete_fn
 
 # Every TrainConfig field but shape has a default of its own type (int,
@@ -59,18 +59,16 @@ def parse_config_file(path) -> dict:
 def build_train_config(file_values: dict, overrides: dict) -> TrainConfig:
     vals = dict(file_values)
     vals.update({k: v for k, v in overrides.items() if v is not None})
+    if "n_v" not in vals:
+        raise ConfigError("n_v is required")
     try:
         n_v = int(vals["n_v"])
-    except KeyError:
-        raise ConfigError("n_v is required") from None
-    n_h1 = int(vals.get("n_h1", n_v))   # hidden layers default to the visible size
-    n_h2 = int(vals.get("n_h2", n_h1))
-    kwargs = {key: parse(vals[key]) for key, parse in _PARSERS.items() if key in vals}
-    try:
-        cfg = TrainConfig(shape=DbmShape(n_v, n_h1, n_h2), **kwargs).validate()
+        n_h1 = int(vals.get("n_h1", n_v))   # hidden layers default to the visible size
+        n_h2 = int(vals.get("n_h2", n_h1))
+        kwargs = {key: parse(vals[key]) for key, parse in _PARSERS.items() if key in vals}
+        return TrainConfig(shape=DbmShape(n_v, n_h1, n_h2), **kwargs).validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return cfg
 
 
 def load_training_data(spec: str, cfg: TrainConfig) -> np.ndarray:
@@ -181,11 +179,16 @@ def cmd_complete(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    dims = [int(d) for d in args.dims.split(",") if d]
-    if args.arms == "all":
-        arms = bench_mod.ALL_ARMS
-    else:
-        arms = tuple(bench_mod.BenchArm.parse(a) for a in args.arms.split(","))
+    try:
+        dims = [int(d) for d in args.dims.split(",") if d]
+        if args.arms == "all":
+            arms = bench_mod.ALL_ARMS
+        else:
+            arms = tuple(bench_mod.BenchArm.parse(a) for a in args.arms.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad --dims or --arms: {exc}") from None
+    if any(d < 1 for d in dims) or min(args.tau_max_mh, args.tau_max_gibbs) < 1:
+        raise ConfigError("--dims, --tau-max-mh and --tau-max-gibbs must be >= 1")
     records = bench_mod.run_coupling_sweep(
         dims, args.replicates, arms, seed=args.seed,
         tau_max_mh=args.tau_max_mh, tau_max_gibbs=args.tau_max_gibbs,
@@ -202,6 +205,8 @@ def cmd_oracle_check(args) -> int:
         print(f"refusing to run: {args.samples} samples gives too little power "
               f"(minimum {args.min_samples}); raise --samples or lower --min-samples")
         return 2
+    if args.tau_max < 1:
+        raise ConfigError("--tau-max must be >= 1")
     params, v = default_check_model(args.model_seed)
     failed = False
     for estimator in ESTIMATORS:
@@ -209,7 +214,7 @@ def cmd_oracle_check(args) -> int:
                                   estimator=estimator, tau_max=args.tau_max)
         verdict = "PASS" if rep["passed"] else "FAIL"
         print(f"{estimator:>13}: n={args.samples} max|z|={rep['max_abs_z']:.3f} "
-              f"(threshold 4.0) {verdict}")
+              f"(threshold {Z_THRESHOLD}) {verdict}")
         z_text = np.array2string(rep["z"], precision=2, max_line_width=78,
                                  suppress_small=True)
         print("    per-component z: " + z_text.replace("\n", "\n    "))
@@ -285,10 +290,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # runtime failures
+    except Exception as exc:  # data, checkpoint and runtime failures
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

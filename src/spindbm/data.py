@@ -30,9 +30,6 @@ class BinaryDataset:
 
     examples: np.ndarray  # (n, length) int8 in {-1, +1}
     source: str = ""
-    height: int = 0
-    width: int = 0
-    bit_depth: int = 8
 
     def __post_init__(self):
         self.examples = np.asarray(self.examples, dtype=np.int8)
@@ -120,7 +117,7 @@ def to_spin_dataset(images: np.ndarray, source: str = "") -> BinaryDataset:
     n, h, w = images.shape
     bits = np.unpackbits(images.reshape(n, h * w), axis=1)  # MSB first per byte
     spins = (bits.astype(np.int8) * 2 - 1)
-    return BinaryDataset(spins, source=source, height=h, width=w)
+    return BinaryDataset(spins, source=source)
 
 
 def spins_to_images(spins: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -134,22 +131,21 @@ def spins_to_images(spins: np.ndarray, height: int, width: int) -> np.ndarray:
     return np.packbits(bits, axis=1).reshape(-1, height, width)
 
 
-def lower_half_mask(height: int, width: int, bit_depth: int = 8) -> Mask:
+def lower_half_mask(height: int, width: int) -> Mask:
     """Observe exactly the bit positions of pixel rows above the middle.
 
     Rows r < height // 2 are observed; the lower half is missing.
     """
-    observed = np.zeros(height * width * bit_depth, dtype=bool)
-    observed[:(height // 2) * width * bit_depth] = True
+    observed = np.zeros(height * width * 8, dtype=bool)
+    observed[:(height // 2) * width * 8] = True
     return Mask(observed)
 
 
-def rectangle_mask(height: int, width: int, r0: int, r1: int, c0: int, c1: int,
-                   bit_depth: int = 8) -> Mask:
+def rectangle_mask(height: int, width: int, r0: int, r1: int, c0: int, c1: int) -> Mask:
     """Mark the pixel rectangle [r0, r1) x [c0, c1) as missing."""
     missing = np.zeros((height, width), dtype=bool)
     missing[r0:r1, c0:c1] = True
-    observed = ~np.repeat(missing.reshape(-1), bit_depth)
+    observed = ~np.repeat(missing.reshape(-1), 8)
     return Mask(observed)
 
 
@@ -194,10 +190,6 @@ def read_pgm(path) -> np.ndarray:
         if maxval != 255:
             raise ValueError(f"{path}: unsupported maxval {maxval}")
         return np.frombuffer(f.read(w * h), dtype=np.uint8).reshape(h, w).copy()
-
-
-def save_dataset_npy(dataset: BinaryDataset, path):
-    np.save(path, dataset.examples)
 
 
 def load_spin_rows(path) -> np.ndarray:

@@ -212,10 +212,6 @@ class GradEstimate(DbmParams):
     dW1, dW2, db_v, db_h1, db_h2 = (DbmParams.W1, DbmParams.W2, DbmParams.b_v,
                                     DbmParams.b_h1, DbmParams.b_h2)
 
-    @classmethod
-    def from_parts(cls, dW1, dW2, db_v, db_h1, db_h2) -> "GradEstimate":
-        return cls(dW1, dW2, db_v, db_h1, db_h2)
-
     def add_scaled(self, other: "GradEstimate", scale: float = 1.0) -> "GradEstimate":
         """In-place self += scale * other (telescoping sums, batch means)."""
         if scale == 1.0:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .model import (DbmParams, HiddenState, JointState, check_joint, h1_field, h2_field,
-                    is_spin, uniform_spins, v_field, v_share)
+from .model import (DbmParams, DimensionError, HiddenState, JointState, check_joint, h1_field,
+                    h2_field, is_spin, uniform_spins, v_field, v_share)
 
 
 class SearchDivergenceError(RuntimeError):
@@ -230,6 +230,8 @@ def local_search_posterior(params: DbmParams, v: np.ndarray, rng: np.random.Gene
                            max_iterations: int | None = None,
                            trace: list | None = None) -> SearchResult:
     """Block-minimize the posterior energy over (h1, h2) with v clamped."""
+    if len(v) != params.W1.shape[0]:
+        raise DimensionError("v length does not match W1")
     return _fixed_point(params, v, rng, max_iterations, trace, c=v_share(params, v))
 
 

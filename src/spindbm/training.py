@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,8 +27,9 @@ from . import oracle
 from .coupling import (DEFAULT_TAU_MAX_MH, CouplingTruncatedError,
                        mh_couple_joint, mh_couple_posterior, mh_step,
                        telescope_terms)
-from .model import (DbmParams, DbmShape, GradEstimate, JointState, grad_from_rows, h1_field,
-                    h2_field, load_params, save_params, uniform_spins, v_field, v_share)
+from .model import (DbmParams, DbmShape, DimensionError, GradEstimate, JointState,
+                    grad_from_rows, h1_field, h2_field, load_params, save_params,
+                    uniform_spins, v_field, v_share)
 # Not called here; perfbench/tracer.py wraps these names in this module,
 # so they stay importable from it.
 from .coupling import telescope_estimate  # noqa: F401
@@ -45,10 +46,6 @@ TRUNCATION_POLICIES = ("error", "drop_sample")
 
 class NonFiniteUpdateError(RuntimeError):
     """A training step's gradient was not finite, so its update would not be."""
-
-
-LOG_COLUMNS = ("step", "mean_tau_pos", "mean_tau_neg", "mean_T_pos",
-               "mean_T_neg", "grad_norm", "wall_ms", "dropped")  # append-only
 
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:
@@ -116,7 +113,6 @@ class TrainConfig:
     estimator: str = "marginalized"
     truncation_policy: str = "error"
     checkpoint_every: int = 100
-    pcd_k: int = 1
     data: str = ""
     out_dir: str = ""
     resume: str = ""
@@ -132,8 +128,8 @@ class TrainConfig:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.truncation_policy not in TRUNCATION_POLICIES:
             raise ValueError(f"unknown truncation_policy {self.truncation_policy!r}")
-        if self.tau_max < 1 or self.checkpoint_every < 1 or self.pcd_k < 1:
-            raise ValueError("tau_max, checkpoint_every and pcd_k must be >= 1")
+        if self.tau_max < 1 or self.checkpoint_every < 1:
+            raise ValueError("tau_max and checkpoint_every must be >= 1")
         return self
 
     def items(self):
@@ -325,16 +321,26 @@ def negative_phase_estimate(params: DbmParams, cfg: TrainConfig,
     return g, run.tau, steps
 
 
+def _column(default, fmt: str):
+    return field(default=default, metadata={"fmt": fmt})
+
+
 @dataclass
 class StepMetrics:
-    step: int = 0
-    mean_tau_pos: float = 0.0
-    mean_tau_neg: float = 0.0
-    mean_T_pos: float = 0.0
-    mean_T_neg: float = 0.0
-    grad_norm: float = 0.0
-    wall_ms: float = 0.0
-    dropped: int = 0
+    """One training step; the fields, in order, are the log's columns, formatted by "fmt"."""
+
+    step: int = _column(0, "")
+    mean_tau_pos: float = _column(0.0, ".6g")
+    mean_tau_neg: float = _column(0.0, ".6g")
+    mean_T_pos: float = _column(0.0, ".6g")
+    mean_T_neg: float = _column(0.0, ".6g")
+    grad_norm: float = _column(0.0, ".10g")
+    wall_ms: float = _column(0.0, ".3f")
+    dropped: int = _column(0, "")
+
+
+_LOG_FORMATS = tuple((f.name, f.metadata["fmt"]) for f in fields(StepMetrics))
+LOG_COLUMNS = tuple(name for name, _ in _LOG_FORMATS)
 
 
 def train_step(params: DbmParams, batch, cfg: TrainConfig, rng: np.random.Generator,
@@ -410,6 +416,8 @@ class MeanFieldState:
 def mean_field_posterior(params: DbmParams, v: np.ndarray, damping: float = 0.5,
                          tol: float = 1e-4, max_iters: int = 50) -> MeanFieldState:
     """Damped tanh fixed-point iteration for the factorized posterior given v."""
+    if len(v) != params.W1.shape[0]:
+        raise DimensionError("v length does not match W1")
     c = v_share(params, v)
     mu1 = np.zeros(params.W1.shape[1])
     mu2 = np.zeros(params.W2.shape[1])
@@ -436,7 +444,7 @@ def pcd_step(params: DbmParams, batch, persistent_chains: list, cfg: TrainConfig
     """Persistent-contrastive-divergence step (biased baseline).
 
     Positive phase: mean-field posterior means stand in for spins.
-    Negative phase: pcd_k Gibbs sweeps on chains carried across steps.
+    Negative phase: one Gibbs sweep (PCD-1) of each chain carried across steps.
     Returns (new_params, updated_chains, StepMetrics).
     """
     mean_field = []
@@ -444,11 +452,7 @@ def pcd_step(params: DbmParams, batch, persistent_chains: list, cfg: TrainConfig
         mf = mean_field_posterior(params, v)
         mean_field.append((np.asarray(v, dtype=np.float64), mf.mu_h1, mf.mu_h2,
                            -1.0 / len(batch)))
-    new_chains = []
-    for chain in persistent_chains:
-        for _ in range(cfg.pcd_k):
-            chain = gibbs_sweep_joint(params, chain, rng)
-        new_chains.append(chain)
+    new_chains = [gibbs_sweep_joint(params, chain, rng) for chain in persistent_chains]
     chains = [(x.v, x.h1, x.h2, 1.0 / len(new_chains)) for x in new_chains]
     g = gradient_from_states(params, "plain", mean_field, chains)
     new_params = SgdOptimizer(cfg.learning_rate).update(params, g)
@@ -490,18 +494,15 @@ def complete(params: DbmParams, v_observed: np.ndarray, observed: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _format_row(m: StepMetrics) -> str:
-    return (f"{m.step},{m.mean_tau_pos:.6g},{m.mean_tau_neg:.6g},"
-            f"{m.mean_T_pos:.6g},{m.mean_T_neg:.6g},{m.grad_norm:.10g},"
-            f"{m.wall_ms:.3f},{m.dropped}")
+    return ",".join(format(getattr(m, name), fmt) for name, fmt in _LOG_FORMATS)
 
 
-def train(cfg: TrainConfig, dataset, out_dir=None, initial_params: DbmParams = None,
-          log_file=None):
+def train(cfg: TrainConfig, dataset, out_dir=None, initial_params: DbmParams = None):
     """Run the full coupled-estimate training loop.
 
     dataset: sequence of +-1 visible vectors (rows of a matrix work).
     out_dir: when given, checkpoints land there (initial, periodic, final)
-    and a train_log.csv is appended to unless log_file overrides it.
+    and its train_log.csv is appended to.
     Returns (params, [StepMetrics per step]). A step whose gradient norm is
     not finite is logged, then raises NonFiniteUpdateError.
     """
@@ -525,7 +526,7 @@ def train(cfg: TrainConfig, dataset, out_dir=None, initial_params: DbmParams = N
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         save_params(params, os.path.join(out_dir, "ckpt-000000.udbm"))
-        log_path = log_file or os.path.join(out_dir, "train_log.csv")
+        log_path = os.path.join(out_dir, "train_log.csv")
         new_log = not os.path.exists(log_path)
         log_fh = open(log_path, "a", encoding="utf-8")
         if new_log:
@@ -563,6 +564,8 @@ def train(cfg: TrainConfig, dataset, out_dir=None, initial_params: DbmParams = N
 # estimator-vs-oracle check
 # ---------------------------------------------------------------------------
 
+Z_THRESHOLD = 4.0  # an oracle z-test passes when every |z| is at most this
+
 def default_check_model(seed: int = 7) -> tuple:
     """Small fixed model and visible vector used by the oracle check."""
     shape = DbmShape(3, 3, 2)
@@ -573,7 +576,7 @@ def default_check_model(seed: int = 7) -> tuple:
 
 def unbiasedness_report(params: DbmParams, v: np.ndarray, n_samples: int, seed: int,
                         estimator: str = "plain", tau_max: int = DEFAULT_TAU_MAX_MH,
-                        estimate_fn=None, z_threshold: float = 4.0) -> dict:
+                        estimate_fn=None) -> dict:
     """Componentwise z-test of the gradient estimator mean against the oracle.
 
     estimate_fn(params, v, rng) -> GradEstimate is injectable so a biased
@@ -611,5 +614,5 @@ def unbiasedness_report(params: DbmParams, v: np.ndarray, n_samples: int, seed: 
         "se": se,
         "z": z,
         "max_abs_z": float(np.max(np.abs(z))),
-        "passed": bool(np.max(np.abs(z)) <= z_threshold),
+        "passed": bool(np.max(np.abs(z)) <= Z_THRESHOLD),
     }

@@ -35,6 +35,18 @@ class TestTrain:
         assert main(["train", "--config", cfg]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_pcd_k_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.txt", n_v=4, steps=1, data="synthetic:2x4",
+                           out_dir=str(tmp_path / "out"), pcd_k=1)
+        assert main(["train", "--config", cfg]) == 2
+        assert "unknown key" in capsys.readouterr().err
+
+    def test_malformed_value_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.txt", n_v=4, steps="many", data="synthetic:2x4",
+                           out_dir=str(tmp_path / "out"))
+        assert main(["train", "--config", cfg]) == 2
+        assert "many" in capsys.readouterr().err
+
     def test_missing_out_dir_exits_2_and_writes_nothing(self, tmp_path, tmp_path_factory,
                                                         monkeypatch, capsys):
         cfg = write_config(tmp_path_factory.mktemp("cfg") / "c.txt", n_v=4, steps=1,
@@ -113,7 +125,7 @@ class TestConfigKeys:
     def test_every_field_round_trips_through_a_config_file(self, tmp_path):
         cfg = TrainConfig(DbmShape(5, 4, 3), learning_rate=0.25, optimizer="amsgrad",
                           batch_size=3, steps=7, seed=11, tau_max=123, estimator="plain",
-                          truncation_policy="drop_sample", checkpoint_every=2, pcd_k=4,
+                          truncation_policy="drop_sample", checkpoint_every=2,
                           data="synthetic:2x5", out_dir=str(tmp_path / "out"),
                           resume=str(tmp_path / "c.udbm"))
         defaults = TrainConfig(DbmShape(1, 1, 1))
@@ -135,8 +147,7 @@ class TestConfigKeys:
                           "# optimizer=sgd", "# batch_size=1", "# steps=0", "# seed=0",
                           "# tau_max=10000", "# estimator=marginalized",
                           "# truncation_policy=error", "# checkpoint_every=100",
-                          "# pcd_k=1", "# data=synthetic:2x4", f"# out_dir={out}",
-                          "# resume="]
+                          "# data=synthetic:2x4", f"# out_dir={out}", "# resume="]
 
 
 class TestSample:
@@ -166,6 +177,13 @@ class TestSample:
         assert img[0, 0] == 123
         rows = np.load(out / "samples.npy")
         np.testing.assert_array_equal(rows[0], bits.astype(np.int8))
+
+    def test_corrupt_checkpoint_exits_1(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.udbm"
+        ckpt.write_bytes(b"UDBM\x01" + struct.pack("<III", 2, 2, 1) + b"\x00" * 12)
+        assert main(["sample", "--checkpoint", str(ckpt), "--n", "1",
+                     "--out", str(tmp_path / "s")]) == 1
+        assert "checkpoint length" in capsys.readouterr().err
 
     def test_bad_geometry_exits_2(self, tmp_path):
         ckpt = bias_only_checkpoint(tmp_path / "m.udbm", [1.0, -1.0])
@@ -221,6 +239,14 @@ class TestComplete:
         got = np.load(out / "completed.npy")
         np.testing.assert_array_equal(got[0], [1, -1, 1, 1])
 
+    def test_malformed_idx_input_exits_1(self, tmp_path, capsys):
+        ckpt = bias_only_checkpoint(tmp_path / "m.udbm", [1.0] * 8)
+        idx = tmp_path / "imgs.idx"
+        idx.write_bytes(struct.pack(">IIII", 0x00000801, 1, 1, 1) + b"\x07")
+        assert main(["complete", "--checkpoint", ckpt, "--input", str(idx),
+                     "--out", str(tmp_path / "c")]) == 1
+        assert "bad magic" in capsys.readouterr().err
+
     def test_spin_rows_without_mask_file_exits_2(self, tmp_path):
         ckpt = bias_only_checkpoint(tmp_path / "m.udbm", [3.0, -3.0])
         np.save(tmp_path / "rows.npy", np.array([[1, 1]], dtype=np.int8))
@@ -256,11 +282,23 @@ class TestBench:
         assert len(rows) == 4
         assert all(r.startswith("mh+local_mode") for r in rows[1:])
 
+    @pytest.mark.parametrize("flags", [["--arms", "mh+nowhere"], ["--dims", "2,x"],
+                                       ["--dims", "0"], ["--tau-max-mh", "0"]])
+    def test_bad_flag_values_exit_2(self, tmp_path, capsys, flags):
+        assert main(["bench", "--dims", "2", "--replicates", "1", *flags,
+                     "--out", str(tmp_path / "b.csv"), "--threads", "1"]) == 2
+        assert "--dims" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
 
 class TestOracleCheck:
     def test_too_few_samples_exits_2(self, capsys):
         assert main(["oracle-check", "--samples", "100"]) == 2
         assert "power" in capsys.readouterr().out
+
+    def test_bad_tau_max_exits_2(self, capsys):
+        assert main(["oracle-check", "--samples", "1000", "--tau-max", "0"]) == 2
+        assert "--tau-max" in capsys.readouterr().err
 
     def test_passes_with_adequate_samples(self, capsys):
         assert main(["oracle-check", "--samples", "3000", "--min-samples", "1000"]) == 0

@@ -346,7 +346,7 @@ class TestGradEstimateArithmetic:
     def test_from_parts_round_trip(self, rng):
         dW1 = rng.standard_normal((2, 3))
         dW2 = rng.standard_normal((3, 1))
-        g = GradEstimate.from_parts(dW1, dW2, np.ones(2), np.zeros(3), np.ones(1))
+        g = GradEstimate(dW1, dW2, np.ones(2), np.zeros(3), np.ones(1))
         assert np.array_equal(g.dW1, dW1)
         assert np.array_equal(g.dW2, dW2)
 
@@ -551,7 +551,7 @@ class TestParamStorage:
         x = JointState(uniform_spins(4, rng), uniform_spins(3, rng), uniform_spins(2, rng))
         g = grad_energy_vhh(x.v, x.h1, x.h2)
         made = [g, GradEstimate.zeros(shape), g + g, g - g, -g, 2.0 * g, g.copy(),
-                GradEstimate.from_parts(*g.arrays())]
+                GradEstimate(*g.arrays())]
         for e in made:
             assert isinstance(e, GradEstimate) and e.sizes == (4, 3, 2)
             for a in (e.dW1, e.dW2, e.db_v, e.db_h1, e.db_h2):

@@ -155,7 +155,7 @@ class TestLocalSearchClamped:
 
 
 class TestStateSizes:
-    """Block passes and sweeps check the state's block sizes against the model."""
+    """Block passes, sweeps and the posterior search check sizes against the model."""
 
     SHAPE = DbmShape(4, 3, 2)
 
@@ -184,6 +184,12 @@ class TestStateSizes:
                 gibbs_sweep_joint(params, JointState(v, h1, h2), rng)
             with pytest.raises(DimensionError):
                 gibbs_sweep_posterior(params, v, HiddenState(h1, h2), rng)
+
+    @pytest.mark.parametrize("n_v", [3, 5])
+    def test_posterior_search_rejects_wrong_v(self, n_v, rng):
+        params = random_params(self.SHAPE, seed=4)
+        with pytest.raises(DimensionError):
+            local_search_posterior(params, uniform_spins(n_v, rng), rng)
 
 
 class TestGibbsSweeps:

@@ -3,9 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from spindbm import (DbmParams, DbmShape, GradEstimate, JointState,
-                     NonFiniteUpdateError, TrainConfig, complete, init_params, init_persistent_chains,
-                     make_optimizer, mean_field_posterior,
+from spindbm import (DbmParams, DbmShape, DimensionError, GradEstimate, JointState,
+                     NonFiniteUpdateError, StepMetrics, TrainConfig, complete, init_params,
+                     init_persistent_chains, make_optimizer, mean_field_posterior,
                      negative_phase_estimate, pcd_step, positive_phase_estimate,
                      sample, train, train_step, unbiasedness_report)
 from spindbm import oracle, training
@@ -323,6 +323,18 @@ class TestMeanField:
         assert mf.iterations == 2
 
 
+def test_wrong_visible_length_raises_dimension_error(rng):
+    params = random_params(DbmShape(4, 3, 2), seed=4)
+    v = np.ones(5)
+    chains = init_persistent_chains(params, 1, rng)
+    with pytest.raises(DimensionError):
+        mean_field_posterior(params, v)
+    with pytest.raises(DimensionError):
+        training.positive_phase_run(params, v, 100, rng)
+    with pytest.raises(DimensionError):
+        pcd_step(params, [v], chains, TrainConfig(shape=params.shape), rng)
+
+
 class TestPcd:
     def test_zero_learning_rate_identity(self, ortho_params_332, rng):
         cfg = TrainConfig(shape=ortho_params_332.shape)
@@ -340,6 +352,15 @@ class TestPcd:
         assert len(after) == 4
         changed = sum(not np.array_equal(b, a.concat()) for b, a in zip(before, after))
         assert changed >= 1
+
+    def test_each_chain_takes_one_gibbs_sweep(self, ortho_params_332):
+        cfg = TrainConfig(shape=ortho_params_332.shape, learning_rate=1e-3)
+        chains = init_persistent_chains(ortho_params_332, 3, np.random.default_rng(1))
+        pcd_rng, rng = np.random.default_rng(2), np.random.default_rng(2)
+        _, after, _ = pcd_step(ortho_params_332, [np.ones(3)], chains, cfg, pcd_rng)
+        expected = [gibbs_sweep_joint(ortho_params_332, c, rng) for c in chains]
+        assert all(a.equals(e) for a, e in zip(after, expected))
+        assert pcd_rng.random() == rng.random()  # and drew nothing more
 
     def test_pcd_gradient_is_biased_where_coupled_is_not(self):
         # strong weights widen the mean-field gap; the coupled estimator's
@@ -558,6 +579,12 @@ class TestTrainLoop:
         col = rows[0].index("dropped")
         assert [int(r[col]) for r in rows[1:]] == [m.dropped for m in history]
         assert sum(m.dropped for m in history) > 0
+
+    def test_log_row_format_pinned(self):
+        m = StepMetrics(step=7, mean_tau_pos=1.25, mean_tau_neg=1 / 3, mean_T_pos=2.0,
+                        mean_T_neg=12345678.9, grad_norm=0.1234567890123, wall_ms=12.34567,
+                        dropped=2)
+        assert training._format_row(m) == "7,1.25,0.333333,2,1.23457e+07,0.123456789,12.346,2"
 
     def test_dataset_width_mismatch(self):
         with pytest.raises(ValueError):
