@@ -76,7 +76,7 @@ def _run_one(arm: BenchArm, dim: int, replicate: int, seed: int,
     if arm.init == "local_mode":
         sr = local_search_joint(params, rng)
         t_search = sr.steps
-        x0 = gibbs_sweep_joint(params, sr.state, rng)
+        x0 = gibbs_sweep_joint(params, sr.state, rng, fields=sr.fields)
     else:
         x0 = JointState(uniform_spins(dim, rng), uniform_spins(dim, rng),
                         uniform_spins(0, rng))

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: train, sample, complete, bench, oracle-check. Exit codes: 0 on
-success, 2 on usage or configuration errors, 1 on any other failure.
+success, 2 on usage or configuration errors (among them a named file that
+does not exist), 1 on any other failure.
 Training is configured by a flat UTF-8 key=value file (# comments
 allowed); command-line flags override the file, which overrides the
 built-in defaults.
@@ -34,12 +35,17 @@ class ConfigError(ValueError):
     pass
 
 
+def _existing(path: str, what: str) -> str:
+    """path, or ConfigError when nothing exists there."""
+    if not os.path.exists(path):
+        raise ConfigError(f"{what} not found: {path}")
+    return path
+
+
 def parse_config_file(path) -> dict:
     """Flat key=value config; unknown keys are rejected."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     values = {}
-    with open(path, encoding="utf-8") as f:
+    with open(_existing(path, "config file"), encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -82,8 +88,7 @@ def load_training_data(spec: str, cfg: TrainConfig) -> np.ndarray:
         except ValueError as exc:
             raise ConfigError(f"bad synthetic spec {spec!r}: {exc}") from None
         return ds.spins()
-    if not os.path.exists(spec):
-        raise ConfigError(f"data file not found: {spec}")
+    _existing(spec, "data file")
     if spec.endswith(".npy"):
         return data_mod.load_spin_rows(spec)
     images, _ = data_mod.load_idx_images(spec)
@@ -100,7 +105,13 @@ def cmd_train(args) -> int:
     rows = load_training_data(cfg.data, cfg)
     if rows.shape[1] != cfg.shape.n_v:
         raise ConfigError(f"data width {rows.shape[1]} != n_v {cfg.shape.n_v}")
-    params, history = train(cfg, rows, out_dir=cfg.out_dir)
+    initial = None
+    if cfg.resume:
+        initial = load_params(_existing(cfg.resume, "resume checkpoint"))
+        if initial.shape != cfg.shape:
+            raise ConfigError(f"resume checkpoint shape {initial.shape} does not match "
+                              f"the config's {cfg.shape}")
+    params, history = train(cfg, rows, out_dir=cfg.out_dir, initial_params=initial)
     print(f"trained {cfg.steps} steps; final checkpoint in {cfg.out_dir}")
     if history:
         last = history[-1]
@@ -110,16 +121,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    params = load_params(args.checkpoint)
-    rng = rng_for(args.seed, 10)
-    draws = sample(params, args.n, args.mh_steps, rng)
+    if args.n < 1 or args.mh_steps < 0:
+        raise ConfigError("--n must be >= 1 and --mh-steps >= 0")
+    params = load_params(_existing(args.checkpoint, "checkpoint"))
+    images = bool(args.height and args.width)
+    if images and args.height * args.width * 8 != params.shape.n_v:
+        raise ConfigError("height*width*8 does not match the model's visible size")
+    draws = sample(params, args.n, args.mh_steps, rng_for(args.seed, 10))
     os.makedirs(args.out, exist_ok=True)
-    arr = (np.stack(draws).astype(np.int8) if draws
-           else np.zeros((0, params.shape.n_v), dtype=np.int8))
-    np.save(os.path.join(args.out, "samples.npy"), arr)
-    if args.height and args.width:
-        if args.height * args.width * 8 != params.shape.n_v:
-            raise ConfigError("height*width*8 does not match the model's visible size")
+    np.save(os.path.join(args.out, "samples.npy"), np.stack(draws).astype(np.int8))
+    if images:
         for i, v in enumerate(draws):
             img = data_mod.spins_to_images(v, args.height, args.width)[0]
             data_mod.write_pgm(img, os.path.join(args.out, f"sample-{i:03d}.pgm"))
@@ -135,15 +146,18 @@ def _parse_mask_spec(spec: str, height: int, width: int) -> data_mod.Mask:
             r0, r1, c0, c1 = map(int, spec[len("rect:"):].split(":"))
         except ValueError:
             raise ConfigError(f"bad rect mask spec {spec!r}; want rect:r0:r1:c0:c1") from None
+        if not (0 <= r0 < r1 <= height and 0 <= c0 < c1 <= width):
+            raise ConfigError(f"rect mask {spec!r} is empty or outside the "
+                              f"{height}x{width} image")
         return data_mod.rectangle_mask(height, width, r0, r1, c0, c1)
     raise ConfigError(f"unknown mask spec {spec!r}")
 
 
 def cmd_complete(args) -> int:
-    params = load_params(args.checkpoint)
+    params = load_params(_existing(args.checkpoint, "checkpoint"))
     rng = rng_for(args.seed, 11)
-    os.makedirs(args.out, exist_ok=True)
     n_v = params.shape.n_v
+    _existing(args.input, "input")
 
     if args.input.endswith(".npy"):
         loaded = np.load(args.input)
@@ -152,9 +166,10 @@ def cmd_complete(args) -> int:
             rows = data_mod.load_spin_rows(args.input)
             if args.mask_file is None:
                 raise ConfigError("spin-row input needs --mask-file")
-            observed = np.load(args.mask_file).astype(bool)
+            observed = np.load(_existing(args.mask_file, "mask file")).astype(bool)
             if rows.shape[1] != n_v or observed.shape != (n_v,):
                 raise ConfigError("input/mask width does not match the model")
+            os.makedirs(args.out, exist_ok=True)
             done = np.stack([complete_fn(params, row, observed, rng) for row in rows])
             np.save(os.path.join(args.out, "completed.npy"), done.astype(np.int8))
             print(f"completed {len(done)} rows to {args.out}")
@@ -166,6 +181,7 @@ def cmd_complete(args) -> int:
     if h * w * 8 != n_v:
         raise ConfigError(f"images are {h}x{w} but the model expects n_v={n_v}")
     mask = _parse_mask_spec(args.mask, h, w)
+    os.makedirs(args.out, exist_ok=True)
     ds = data_mod.to_spin_dataset(images)
     completed = []
     for row in ds.spins():
@@ -187,8 +203,10 @@ def cmd_bench(args) -> int:
             arms = tuple(bench_mod.BenchArm.parse(a) for a in args.arms.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad --dims or --arms: {exc}") from None
-    if any(d < 1 for d in dims) or min(args.tau_max_mh, args.tau_max_gibbs) < 1:
-        raise ConfigError("--dims, --tau-max-mh and --tau-max-gibbs must be >= 1")
+    if any(d < 1 for d in dims) or min(args.tau_max_mh, args.tau_max_gibbs,
+                                       args.replicates) < 1:
+        raise ConfigError("--dims, --replicates, --tau-max-mh and --tau-max-gibbs "
+                          "must be >= 1")
     records = bench_mod.run_coupling_sweep(
         dims, args.replicates, arms, seed=args.seed,
         tau_max_mh=args.tau_max_mh, tau_max_gibbs=args.tau_max_gibbs,

@@ -66,15 +66,16 @@ def _joint_energy(params: DbmParams):
     return lambda x: energy_vhh(params, x[:n_v], x[n_v:n_vh], x[n_vh:])
 
 
-def _posterior_energy(params: DbmParams, v: np.ndarray):
+def _posterior_energy(params: DbmParams, v: np.ndarray, c=None):
     """Joint energy at clamped v as a function of one concatenated (h1, h2) vector.
 
     The one energy besides model.energy_vhh on the sampler side: v's share
-    of the h1 field (c = model.v_share(v)) and the constant b_v'v are hoisted
-    out of the proposal loop, which saves an n_v x n_h1 gemv (6272 x 500 at
-    image scale) per proposal.
+    of the h1 field (c = model.v_share(v), computed here unless given) and
+    the constant b_v'v are hoisted out of the proposal loop, which saves an
+    n_v x n_h1 gemv (6272 x 500 at image scale) per proposal.
     """
-    c = v_share(params, v)
+    if c is None:
+        c = v_share(params, v)
     const = float(params.b_v @ v)
     W2, b_h2 = params.W2, params.b_h2
     n_h1, n_h2 = W2.shape
@@ -145,11 +146,12 @@ def mh_couple_joint(params: DbmParams, x0: JointState, tau_max: int = DEFAULT_TA
 def mh_couple_posterior(params: DbmParams, v: np.ndarray, h0: HiddenState,
                         tau_max: int = DEFAULT_TAU_MAX_MH,
                         rng: np.random.Generator = None,
-                        keep_states: bool = True) -> CoupledRun:
+                        keep_states: bool = True, c=None) -> CoupledRun:
     """Couple two MH chains on the hidden state with v clamped.
 
     Both acceptance ratios use the joint energy at the clamped v, so the
-    chains target the posterior over (h1, h2).
+    chains target the posterior over (h1, h2). c = model.v_share(v), when
+    given, saves computing it here.
     """
     check_joint(params, v, h0.h1, h0.h2)
     n_h1 = params.W1.shape[1]
@@ -157,7 +159,7 @@ def mh_couple_posterior(params: DbmParams, v: np.ndarray, h0: HiddenState,
     def split_hidden(h):
         return HiddenState(h[:n_h1].copy(), h[n_h1:].copy())
 
-    return _mh_chains(_posterior_energy(params, v), split_hidden, h0, tau_max, rng,
+    return _mh_chains(_posterior_energy(params, v, c), split_hidden, h0, tau_max, rng,
                       keep_states=keep_states)
 
 
@@ -215,8 +217,8 @@ def gibbs_couple_joint(params: DbmParams, x0: JointState,
     while not met and t < tau_max:
         even_first = rng.random() < 0.5
         u = sweep_uniforms(rng, even_first, *sizes)
-        x = JointState(*block_pass(params, x.v, x.h1, x.h2, even_first, u))
-        y = JointState(*block_pass(params, y.v, y.h1, y.h2, even_first, u))
+        x = JointState(*block_pass(params, x.v, x.h1, x.h2, even_first, u)[:3])
+        y = JointState(*block_pass(params, y.v, y.h1, y.h2, even_first, u)[:3])
         t += 1
         if keep_states:
             xs.append(x)

@@ -269,6 +269,12 @@ def _one_row(v_like: np.ndarray, h1_like: np.ndarray, h2_like: np.ndarray) -> Gr
     return grad_from_rows(v_like[None, :], h1_like[None, :], h2_like[None, :], _ONE)
 
 
+def check_visible(params: DbmParams, v):
+    """Raise DimensionError unless v has the model's visible size."""
+    if len(v) != params.W1.shape[0]:
+        raise DimensionError("v length does not match W1")
+
+
 def check_joint(params: DbmParams, v, h1, h2):
     """Raise DimensionError unless (v, h1, h2) has the model's layer sizes."""
     n_v, n_h1, n_h2 = params.sizes

@@ -8,10 +8,12 @@ threshold (each block's conditional minimizer) until the state stops
 changing; which block moves first is decided by one coin flip per call.
 It carries the local fields from pass to pass, updating them from the
 units that flipped, and confirms the fixed point it reaches with one
-exact pass whenever such updates were made. A
-Gibbs sweep is one pass that draws each block's spins from its
-conditionals instead. The sweeps perturb a found mode before coupling, so
-that chain initialization is not supported only on the exact modes.
+exact pass whenever such updates were made. A Gibbs sweep is one pass
+that draws each block's spins from its conditionals instead. The sweeps
+perturb a found mode before coupling, so that chain initialization is
+not supported only on the exact modes. A joint search returns its fields
+at the fixed point, and the sweep that follows it sets its first block
+from them.
 
 Sign convention: sgn(0) = +1 everywhere.
 """
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .model import (DbmParams, DimensionError, HiddenState, JointState, check_joint, h1_field,
+from .model import (DbmParams, HiddenState, JointState, check_joint, check_visible, h1_field,
                     h2_field, is_spin, uniform_spins, v_field, v_share)
 
 
@@ -33,10 +35,16 @@ class SearchDivergenceError(RuntimeError):
 
 @dataclass
 class SearchResult:
-    """A block-wise fixed point plus the number of outer iterations taken."""
+    """A block-wise fixed point plus the number of outer iterations taken.
+
+    fields: a joint search's (a_v, a_h1, a_h2) at the returned state, equal
+    to model.v_field, h1_field and h2_field there (gibbs_sweep_joint takes
+    them); None for posterior and clamped searches.
+    """
 
     state: object  # JointState or HiddenState
     steps: int
+    fields: tuple | None = None
 
 
 _THRESHOLD = (None, None, None)  # block_pass uniforms that make it a minimization
@@ -63,25 +71,41 @@ def _set_free(v, v_free, rows):
 
 
 def block_pass(params: DbmParams, v, h1, h2, even_first: bool, uniforms=_THRESHOLD,
-               c=None, rows=None):
-    """One pass over the even block (v, h2) and the odd block (h1); returns (v, h1, h2).
+               c=None, rows=None, fields=None):
+    """One pass over the even block (v, h2) and the odd block (h1).
 
-    uniforms = (u_v, u_h1, u_h2) picks each block's update: None sets it to
-    the sign of its field, an array draws its spins from those uniforms
-    (see sweep_uniforms). v is free by default. c = model.v_share(v) fixes v
-    and is v's hoisted share of the h1 field (posterior passes). rows =
-    (free, W1[free], b_v[free]) moves only the free visible units (u_v then
-    covers those rows); the others keep their values in v.
+    Returns (v, h1, h2, (a_v, a_h1, a_h2)): the new state and the fields its
+    blocks were set from. uniforms = (u_v, u_h1, u_h2) picks each block's
+    update: None sets it to the sign of its field, an array draws its spins
+    from those uniforms (see sweep_uniforms). v is free by default. c =
+    model.v_share(v) fixes v and is v's hoisted share of the h1 field
+    (posterior passes; a_v is then None). rows = (free, W1[free], b_v[free])
+    moves only the free visible units (u_v and a_v then cover those rows);
+    the others keep their values in v. fields, the fields at the input
+    state, set the first block instead of fields computed here.
     """
     u_v, u_h1, u_h2 = uniforms
+    a_v = a_h1 = a_h2 = None
+    if fields is not None:
+        if even_first:
+            a_v, _, a_h2 = fields
+        else:
+            a_h1 = fields[1]
     if not even_first:
-        h1 = _spins(h1_field(params, v, h2, c), u_h1)
+        if a_h1 is None:
+            a_h1 = h1_field(params, v, h2, c)
+        h1 = _spins(a_h1, u_h1)
     if c is None:
-        v = _set_free(v, _spins(v_field(params, h1, rows), u_v), rows)
-    h2 = _spins(h2_field(params, h1), u_h2)
+        if a_v is None:
+            a_v = v_field(params, h1, rows)
+        v = _set_free(v, _spins(a_v, u_v), rows)
+    if a_h2 is None:
+        a_h2 = h2_field(params, h1)
+    h2 = _spins(a_h2, u_h2)
     if even_first:
-        h1 = _spins(h1_field(params, v, h2, c), u_h1)
-    return v, h1, h2
+        a_h1 = h1_field(params, v, h2, c)
+        h1 = _spins(a_h1, u_h1)
+    return v, h1, h2, (a_v, a_h1, a_h2)
 
 
 def sweep_uniforms(rng: np.random.Generator, even_first: bool, n_v: int, n_h1: int,
@@ -104,13 +128,13 @@ def block_minimize_joint(params: DbmParams, v, h1, h2, even_first: bool):
     Applying this to a local-search result must leave it unchanged.
     """
     check_joint(params, v, h1, h2)
-    return block_pass(params, v, h1, h2, even_first)
+    return block_pass(params, v, h1, h2, even_first)[:3]
 
 
 def block_minimize_posterior(params: DbmParams, v, h1, h2, even_first: bool):
     """One block-minimization pass over (h1, h2) with v clamped."""
     check_joint(params, v, h1, h2)
-    return block_pass(params, v, h1, h2, even_first, c=v_share(params, v))[1:]
+    return block_pass(params, v, h1, h2, even_first, c=v_share(params, v))[1:3]
 
 
 def _state(v, h1, h2, posterior: bool):
@@ -137,7 +161,8 @@ def _fixed_point(params: DbmParams, v, rng, max_iterations, trace, c=None,
     flipped. Such updates round differently from a fresh sum, so a pass
     that flips nothing ends the search only once the exact block_pass also
     leaves the state unchanged; that check is skipped when every field was
-    computed in full. The result is a fixed point of block_pass.
+    computed in full. The result is a fixed point of block_pass, and its
+    fields are fresh: computed in full, or by the confirming pass.
     """
     W1_free = params.W1 if rows is None else rows[1]
     W2 = params.W2
@@ -202,16 +227,20 @@ def _fixed_point(params: DbmParams, v, rng, max_iterations, trace, c=None,
                         v = _set_free(v, v_free, rows)
                     h2 = h2_new
         if not moved and (even_drift or odd_drift):
-            v_x, h1_x, h2_x = block_pass(params, v, h1, h2, even_first, _THRESHOLD, c, rows)
+            v_x, h1_x, h2_x, fresh = block_pass(params, v, h1, h2, even_first, _THRESHOLD,
+                                                c, rows)
             if not (np.array_equal(h1_x, h1) and np.array_equal(h2_x, h2)
                     and (posterior or np.array_equal(v_x, v))):
                 moved = True
                 v, h1, h2 = v_x, h1_x, h2_x
                 even_ok = odd_ok = False
+            else:
+                a_v, a_h1, a_h2 = fresh
         if trace is not None:
             trace.append(_state(v, h1, h2, posterior))
         if not moved:
-            return SearchResult(_state(v, h1, h2, posterior), it)
+            fields = None if posterior or rows is not None else (a_v, a_h1, a_h2)
+            return SearchResult(_state(v, h1, h2, posterior), it, fields)
     raise SearchDivergenceError(f"no fixed point within {cap} iterations")
 
 
@@ -228,11 +257,14 @@ def local_search_joint(params: DbmParams, rng: np.random.Generator,
 
 def local_search_posterior(params: DbmParams, v: np.ndarray, rng: np.random.Generator,
                            max_iterations: int | None = None,
-                           trace: list | None = None) -> SearchResult:
-    """Block-minimize the posterior energy over (h1, h2) with v clamped."""
-    if len(v) != params.W1.shape[0]:
-        raise DimensionError("v length does not match W1")
-    return _fixed_point(params, v, rng, max_iterations, trace, c=v_share(params, v))
+                           trace: list | None = None, c=None) -> SearchResult:
+    """Block-minimize the posterior energy over (h1, h2) with v clamped.
+
+    c = model.v_share(v), when given, saves computing it here.
+    """
+    check_visible(params, v)
+    return _fixed_point(params, v, rng, max_iterations, trace,
+                        c=v_share(params, v) if c is None else c)
 
 
 def local_search_clamped(params: DbmParams, v_observed: np.ndarray, observed: np.ndarray,
@@ -259,20 +291,26 @@ def local_search_clamped(params: DbmParams, v_observed: np.ndarray, observed: np
     return _fixed_point(params, v, rng, max_iterations, trace, rows=rows)
 
 
-def gibbs_sweep_joint(params: DbmParams, x: JointState, rng: np.random.Generator) -> JointState:
-    """One full Gibbs sweep over both blocks, order chosen by a coin flip."""
+def gibbs_sweep_joint(params: DbmParams, x: JointState, rng: np.random.Generator,
+                      fields=None) -> JointState:
+    """One full Gibbs sweep over both blocks, order chosen by a coin flip.
+
+    fields = (a_v, a_h1, a_h2) at x (a joint SearchResult's fields) set the
+    first block, which saves computing its field.
+    """
     check_joint(params, x.v, x.h1, x.h2)
     even_first = rng.random() < 0.5
     u = sweep_uniforms(rng, even_first, len(x.v), len(x.h1), len(x.h2))
-    return JointState(*block_pass(params, x.v, x.h1, x.h2, even_first, u))
+    return JointState(*block_pass(params, x.v, x.h1, x.h2, even_first, u, fields=fields)[:3])
 
 
 def gibbs_sweep_posterior(params: DbmParams, v: np.ndarray, h: HiddenState,
-                          rng: np.random.Generator) -> HiddenState:
-    """One full Gibbs sweep over (h1, h2) with v clamped."""
+                          rng: np.random.Generator, c=None) -> HiddenState:
+    """One full Gibbs sweep over (h1, h2) with v clamped; c = model.v_share(v) if given."""
     check_joint(params, v, h.h1, h.h2)
-    c = v_share(params, v)
+    if c is None:
+        c = v_share(params, v)
     even_first = rng.random() < 0.5
     u = sweep_uniforms(rng, even_first, 0, len(h.h1), len(h.h2))
-    _, h1, h2 = block_pass(params, v, h.h1, h.h2, even_first, u, c)
+    _, h1, h2, _ = block_pass(params, v, h.h1, h.h2, even_first, u, c)
     return HiddenState(h1, h2)

@@ -27,7 +27,7 @@ from . import oracle
 from .coupling import (DEFAULT_TAU_MAX_MH, CouplingTruncatedError,
                        mh_couple_joint, mh_couple_posterior, mh_step,
                        telescope_terms)
-from .model import (DbmParams, DbmShape, DimensionError, GradEstimate, JointState,
+from .model import (DbmParams, DbmShape, GradEstimate, JointState, check_visible,
                     grad_from_rows, h1_field, h2_field, load_params, save_params,
                     uniform_spins, v_field, v_share)
 # Not called here; perfbench/tracer.py wraps these names in this module,
@@ -161,11 +161,21 @@ class SgdOptimizer:
         return _shifted(params, grad.vec * self.lr)
 
 
+# Adam runs its passes over chunks of _ADAM_CHUNK entries, so that m, v, the
+# scratch and the new parameters stay in cache from one pass to the next.
+# At 6272-500-500 (3.4 M entries, one core with a 2 MiB L2), an update took
+# 38 ms in chunks of 16 K or 32 K entries, 43 ms in 8 K or 64 K, 49 ms in
+# 4 K and 59 ms in whole-vector passes.
+_ADAM_CHUNK = 16_384
+
+
 class AdamOptimizer:
     """Adam / AMSGrad ascent with bias-corrected moments.
 
     The moments are flat vectors in GradEstimate order, updated in place
-    through one preallocated scratch vector; v_max exists only for AMSGrad.
+    chunk by chunk through one chunk-long scratch vector; v_max exists only
+    for AMSGrad. Each entry goes through the same operations as in
+    whole-vector passes, so the chunking does not change any bit.
     """
 
     def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -181,33 +191,41 @@ class AdamOptimizer:
 
     def update(self, params: DbmParams, grad: GradEstimate) -> DbmParams:
         g = grad.vec
+        n = g.size
         if self.m is None:
-            self.m = np.zeros_like(g)
-            self.v = np.zeros_like(g)
-            self.v_max = np.zeros_like(g) if self.amsgrad else None
-            self._buf = np.empty_like(g)
+            self.m = np.zeros(n)
+            self.v = np.zeros(n)
+            self.v_max = np.zeros(n) if self.amsgrad else None
+            self._buf = np.empty(min(n, _ADAM_CHUNK))
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
-        m, v, buf = self.m, self.v, self._buf
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=buf)
-        m += buf
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=buf)
-        buf *= g
-        v += buf
-        np.divide(v, c2, out=buf)  # v_hat
-        if self.amsgrad:
-            np.maximum(self.v_max, buf, out=self.v_max)
-            np.sqrt(self.v_max, out=buf)
-        else:
-            np.sqrt(buf, out=buf)
-        buf += self.eps
-        step = np.divide(m, c1)  # m_hat; becomes the new parameter vector
-        step *= self.lr
-        step /= buf
-        return _shifted(params, step)
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        new = np.empty(n)
+        for lo in range(0, n, _ADAM_CHUNK):
+            hi = min(lo + _ADAM_CHUNK, n)
+            gs, m, v, step = g[lo:hi], self.m[lo:hi], self.v[lo:hi], new[lo:hi]
+            buf = self._buf[:hi - lo]
+            m *= b1
+            np.multiply(gs, 1.0 - b1, out=buf)
+            m += buf
+            v *= b2
+            np.multiply(gs, 1.0 - b2, out=buf)
+            buf *= gs
+            v += buf
+            np.divide(v, c2, out=buf)  # v_hat
+            if self.amsgrad:
+                v_max = self.v_max[lo:hi]
+                np.maximum(v_max, buf, out=v_max)
+                np.sqrt(v_max, out=buf)
+            else:
+                np.sqrt(buf, out=buf)
+            buf += eps
+            np.divide(m, c1, out=step)  # m_hat
+            step *= lr
+            step /= buf
+            step += params.vec[lo:hi]
+        return DbmParams.from_vector(params.shape, new)
 
 
 def make_optimizer(cfg: TrainConfig):
@@ -266,17 +284,26 @@ def joint_grad_fn(params: DbmParams, estimator: str):
 
 def positive_phase_run(params: DbmParams, v: np.ndarray, tau_max: int,
                        rng: np.random.Generator):
-    """Posterior coupling from a perturbed posterior mode: (run, search_steps)."""
-    sr = local_search_posterior(params, v, rng)
-    h0 = gibbs_sweep_posterior(params, v, sr.state, rng)
-    run = mh_couple_posterior(params, v, h0, tau_max, rng)
+    """Posterior coupling from a perturbed posterior mode: (run, search_steps).
+
+    v's share of the h1 field, c = v_share(v), is computed once and passed
+    to the search, the sweep and the MH coupling.
+    """
+    check_visible(params, v)
+    c = v_share(params, v)
+    sr = local_search_posterior(params, v, rng, c=c)
+    h0 = gibbs_sweep_posterior(params, v, sr.state, rng, c=c)
+    run = mh_couple_posterior(params, v, h0, tau_max, rng, c=c)
     return run, sr.steps
 
 
 def negative_phase_run(params: DbmParams, tau_max: int, rng: np.random.Generator):
-    """Joint coupling from a perturbed joint mode: (run, search_steps)."""
+    """Joint coupling from a perturbed joint mode: (run, search_steps).
+
+    The sweep takes its first block's field from the search's fields.
+    """
     sr = local_search_joint(params, rng)
-    x0 = gibbs_sweep_joint(params, sr.state, rng)
+    x0 = gibbs_sweep_joint(params, sr.state, rng, fields=sr.fields)
     run = mh_couple_joint(params, x0, tau_max, rng)
     return run, sr.steps
 
@@ -416,8 +443,7 @@ class MeanFieldState:
 def mean_field_posterior(params: DbmParams, v: np.ndarray, damping: float = 0.5,
                          tol: float = 1e-4, max_iters: int = 50) -> MeanFieldState:
     """Damped tanh fixed-point iteration for the factorized posterior given v."""
-    if len(v) != params.W1.shape[0]:
-        raise DimensionError("v length does not match W1")
+    check_visible(params, v)
     c = v_share(params, v)
     mu1 = np.zeros(params.W1.shape[1])
     mu2 = np.zeros(params.W2.shape[1])

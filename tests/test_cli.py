@@ -105,6 +105,33 @@ class TestTrain:
                 if l and not l.startswith("#")]
         assert len(rows) == 2  # header + 1 step
 
+    def test_resume_checkpoint_missing_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.txt", n_v=4, n_h1=3, n_h2=2, steps=1,
+                           data="synthetic:2x4", out_dir=str(out),
+                           resume=str(tmp_path / "none.udbm"))
+        assert main(["train", "--config", cfg]) == 2
+        assert "resume checkpoint not found" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resume_checkpoint_of_another_shape_exits_2(self, tmp_path, capsys):
+        ckpt = bias_only_checkpoint(tmp_path / "m.udbm", [1.0, -1.0, 1.0, -1.0])  # 4-2-1
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.txt", n_v=4, n_h1=3, n_h2=2, steps=1,
+                           data="synthetic:2x4", out_dir=str(out), resume=ckpt)
+        assert main(["train", "--config", cfg]) == 2
+        assert "does not match" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_corrupt_resume_checkpoint_exits_1(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.udbm"
+        ckpt.write_bytes(b"UDBM\x01" + struct.pack("<III", 4, 3, 2) + b"\x00" * 12)
+        cfg = write_config(tmp_path / "c.txt", n_v=4, n_h1=3, n_h2=2, steps=1,
+                           data="synthetic:2x4", out_dir=str(tmp_path / "out"),
+                           resume=str(ckpt))
+        assert main(["train", "--config", cfg]) == 1
+        assert "checkpoint length" in capsys.readouterr().err
+
     def test_resume_key_continues_from_checkpoint(self, tmp_path):
         out1, out2 = tmp_path / "one", tmp_path / "two"
         cfg1 = write_config(tmp_path / "c1.txt", n_v=4, n_h1=3, n_h2=2, steps=3,
@@ -151,12 +178,15 @@ class TestConfigKeys:
 
 
 class TestSample:
-    def test_n_zero_writes_empty_output(self, tmp_path):
+    @pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "-3"],
+                                       ["--n", "2", "--mh-steps", "-1"]])
+    def test_empty_or_negative_work_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                                flags):
         ckpt = bias_only_checkpoint(tmp_path / "m.udbm", [1.0, -1.0])
         out = tmp_path / "s"
-        assert main(["sample", "--checkpoint", ckpt, "--n", "0", "--out", str(out)]) == 0
-        arr = np.load(out / "samples.npy")
-        assert arr.shape == (0, 2)
+        assert main(["sample", "--checkpoint", ckpt, *flags, "--out", str(out)]) == 2
+        assert "--n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deterministic_under_seed(self, tmp_path):
         ckpt = bias_only_checkpoint(tmp_path / "m.udbm", [0.5, -0.5, 1.5])
@@ -189,6 +219,13 @@ class TestSample:
         ckpt = bias_only_checkpoint(tmp_path / "m.udbm", [1.0, -1.0])
         assert main(["sample", "--checkpoint", ckpt, "--n", "1",
                      "--out", str(tmp_path / "s"), "--height", "2", "--width", "2"]) == 2
+        assert not (tmp_path / "s").exists()
+
+    def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
+        assert main(["sample", "--checkpoint", str(tmp_path / "none.udbm"), "--n", "1",
+                     "--out", str(tmp_path / "s")]) == 2
+        assert "checkpoint not found" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
 
 class TestComplete:
@@ -199,13 +236,41 @@ class TestComplete:
         return bias_only_checkpoint(path, spins * 4.0)
 
     def test_full_observation_mask_is_identity(self, tmp_path):
-        img = (np.arange(4, dtype=np.uint8).reshape(2, 2) * 60)
+        # the biases pull every unit the other way, yet observed units never move
+        ckpt = bias_only_checkpoint(tmp_path / "m.udbm", [-3.0, 3.0, 3.0, -3.0])
+        rows = np.array([[1, -1, -1, 1], [1, 1, -1, -1]], dtype=np.int8)
+        np.save(tmp_path / "rows.npy", rows)
+        np.save(tmp_path / "mask.npy", np.ones(4, dtype=bool))
+        out = tmp_path / "c"
+        assert main(["complete", "--checkpoint", ckpt, "--input", str(tmp_path / "rows.npy"),
+                     "--mask-file", str(tmp_path / "mask.npy"), "--out", str(out)]) == 0
+        np.testing.assert_array_equal(np.load(out / "completed.npy"), rows)
+
+    @pytest.mark.parametrize("spec", ["rect:0:0:0:0", "rect:1:1:0:2", "rect:0:2:1:1",
+                                      "rect:0:3:0:2", "rect:0:2:1:3", "rect:-1:1:0:2"])
+    def test_empty_or_outside_rect_mask_exits_2(self, tmp_path, capsys, spec):
+        img = np.zeros((2, 2), dtype=np.uint8)
         ckpt = self._image_checkpoint(tmp_path / "m.udbm", img)
         np.save(tmp_path / "in.npy", img[None, :, :])
         out = tmp_path / "c"
         assert main(["complete", "--checkpoint", ckpt, "--input", str(tmp_path / "in.npy"),
-                     "--mask", "rect:0:0:0:0", "--out", str(out)]) == 0
-        np.testing.assert_array_equal(read_pgm(out / "completed-000.pgm"), img)
+                     "--mask", spec, "--out", str(out)]) == 2
+        assert "empty or outside the 2x2 image" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["--checkpoint", "--input", "--mask-file"])
+    def test_missing_path_exits_2(self, tmp_path, capsys, missing):
+        ckpt = bias_only_checkpoint(tmp_path / "m.udbm", [3.0, -3.0])
+        np.save(tmp_path / "rows.npy", np.array([[1, 1]], dtype=np.int8))
+        np.save(tmp_path / "mask.npy", np.array([True, False]))
+        paths = {"--checkpoint": ckpt, "--input": str(tmp_path / "rows.npy"),
+                 "--mask-file": str(tmp_path / "mask.npy")}
+        paths[missing] = str(tmp_path / "nowhere")
+        out = tmp_path / "c"
+        assert main(["complete", *(a for kv in paths.items() for a in kv),
+                     "--out", str(out)]) == 2
+        assert "not found: " + str(tmp_path / "nowhere") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_all_masked_still_valid_image(self, tmp_path):
         img = np.full((2, 2), 200, dtype=np.uint8)
@@ -283,7 +348,8 @@ class TestBench:
         assert all(r.startswith("mh+local_mode") for r in rows[1:])
 
     @pytest.mark.parametrize("flags", [["--arms", "mh+nowhere"], ["--dims", "2,x"],
-                                       ["--dims", "0"], ["--tau-max-mh", "0"]])
+                                       ["--dims", "0"], ["--tau-max-mh", "0"],
+                                       ["--replicates", "0"], ["--replicates", "-2"]])
     def test_bad_flag_values_exit_2(self, tmp_path, capsys, flags):
         assert main(["bench", "--dims", "2", "--replicates", "1", *flags,
                      "--out", str(tmp_path / "b.csv"), "--threads", "1"]) == 2

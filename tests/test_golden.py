@@ -1,13 +1,15 @@
 """Golden guard: the sampler's +-1 outputs and a short training run, pinned.
 
 Every public search, Gibbs, MH, coupling, sampling and completion entry
-point runs on fixed seeds and shapes (including n_h2 = 0 and masks that
-observe all, some and none of the visible units), and the sha256 of its
-spin outputs, iteration counts and coupling times is compared with a
-recorded digest. Spins are exact, so the digests do not depend on the BLAS
-build; a refactor that changes RNG consumption or any accept/threshold
-decision fails here. The final parameters of the 25-step TestTrainLoop
-run are pinned at rel 1e-12, which leaves room for BLAS summation order.
+point, and the positive and negative phase runs that chain a search, a
+sweep and an MH coupling, runs on fixed seeds and shapes (including
+n_h2 = 0 and masks that observe all, some and none of the visible
+units), and the sha256 of its spin outputs, iteration counts and
+coupling times is compared with a recorded digest. Spins are exact, so
+the digests do not depend on the BLAS build; a refactor that changes RNG
+consumption or any accept/threshold decision fails here. The final
+parameters of the 25-step TestTrainLoop run are pinned at rel 1e-12,
+which leaves room for BLAS summation order.
 """
 
 import hashlib
@@ -23,6 +25,7 @@ from spindbm import (DbmShape, HiddenState, JointState, TrainConfig,
                      mh_coupled_trajectory, mh_step, run_coupling_sweep, sample,
                      train, uniform_spins)
 from spindbm.data import synthetic_patterns
+from spindbm.training import negative_phase_run, positive_phase_run
 
 from conftest import random_params
 
@@ -187,6 +190,25 @@ def g_complete(d):
                 d.spins(complete(params, uniform_spins(params.shape.n_v, rng), mask, rng))
 
 
+def g_positive_phase_run(d):
+    for params, rng in _models():
+        for tau_max in (1, 3, 10_000):
+            for _ in range(10):
+                run, steps = positive_phase_run(params, uniform_spins(params.shape.n_v, rng),
+                                                tau_max, rng)
+                d.ints(steps)
+                d.run(run)
+
+
+def g_negative_phase_run(d):
+    for params, rng in _models():
+        for tau_max in (1, 3, 10_000):
+            for _ in range(10):
+                run, steps = negative_phase_run(params, tau_max, rng)
+                d.ints(steps)
+                d.run(run)
+
+
 def g_bench_sweep(d):
     for r in run_coupling_sweep(dims=(1, 3, 6), replicates=4, seed=11):
         d.h.update(r.arm.label.encode())
@@ -218,6 +240,10 @@ GROUPS = {
                "5efacd6e040333d106474daefe352d040c5b411065a2ff21f37b3ff0b67e61b5"),
     "complete": (g_complete,
                  "af52b4f581f72957207c795ae786a93f8fabdbeed9d03005e2ad5328673017db"),
+    "positive_phase_run": (g_positive_phase_run,
+                           "9cd3c7cf8fae8402d71a932df30e16734bdaf255c1bcf945915fe3730078576f"),
+    "negative_phase_run": (g_negative_phase_run,
+                           "28993d3854cedd44aef2f86d4eb41c9a7ddc342ae65114bd74efe18a4944408f"),
     "bench_sweep": (g_bench_sweep,
                     "0e85446fef09869f95b9480a5765047e913a919fb521f954e7f65466afecd834"),
 }

@@ -9,7 +9,7 @@ from spindbm import (DbmParams, DbmShape, DimensionError, HiddenState, JointStat
                      init_params, local_search_clamped, local_search_joint,
                      local_search_posterior, uniform_spins)
 from spindbm import search
-from spindbm.model import energy_vhh
+from spindbm.model import energy_vhh, h1_field, h2_field, v_field
 from spindbm.oracle import spin_table, state_index
 from spindbm.search import (SearchDivergenceError, SearchResult, _spins,
                             default_max_iterations)
@@ -336,9 +336,10 @@ def exact_passes(monkeypatch):
     """Record (input, output) of every block_pass the search loop runs to confirm."""
     calls, real = [], search.block_pass
 
-    def spy(params, v, h1, h2, even_first, uniforms=_THRESHOLD, c=None, rows=None):
-        out = real(params, v, h1, h2, even_first, uniforms, c, rows)
-        calls.append(((v, h1, h2), out))
+    def spy(params, v, h1, h2, even_first, uniforms=_THRESHOLD, c=None, rows=None,
+            fields=None):
+        out = real(params, v, h1, h2, even_first, uniforms, c, rows, fields)
+        calls.append(((v, h1, h2), out[:3]))
         return out
 
     monkeypatch.setattr(search, "block_pass", spy)
@@ -411,3 +412,55 @@ class TestIncrementalFields:
             moved += any(not _same(JointState(*a), JointState(*b))
                          for a, b in exact_passes[n:])
         assert moved > 0
+
+
+class TestFieldHandover:
+    """A joint search hands its fields at the returned state to the Gibbs sweep."""
+
+    @pytest.mark.parametrize("shape", [DbmShape(16, 16, 8), DbmShape(512, 128, 64),
+                                       DbmShape(784, 200, 100)], ids=str)
+    @pytest.mark.parametrize("model", ["gaussian", "orthogonal"])
+    @pytest.mark.parametrize("fields_from", ["full-recompute", "confirming-pass"])
+    def test_fields_are_fresh_and_sweep_matches(self, shape, model, fields_from,
+                                                exact_passes, monkeypatch):
+        params = (random_params(shape, seed=11) if model == "gaussian"
+                  else init_params(shape, np.random.default_rng(11)))
+        if fields_from == "full-recompute":  # every flip count is "many": no delta updates
+            monkeypatch.setattr(search, "_ROW_SHARE", 10 ** 9)
+            monkeypatch.setattr(search, "_COLUMN_SHARE", 10 ** 9)
+        confirmed = passes = 0
+        for seed in range(30):
+            n = len(exact_passes)
+            r = local_search_joint(params, np.random.default_rng(seed))
+            passes += len(exact_passes) - n
+            confirmed += any(_same(JointState(*a), JointState(*b))
+                             for a, b in exact_passes[n:])
+            x = r.state
+            a_v, a_h1, a_h2 = r.fields
+            assert np.array_equal(a_v, v_field(params, x.h1))
+            assert np.array_equal(a_h1, h1_field(params, x.v, x.h2))
+            assert np.array_equal(a_h2, h2_field(params, x.h1))
+            rng_a, rng_b = np.random.default_rng(500 + seed), np.random.default_rng(500 + seed)
+            assert _same(gibbs_sweep_joint(params, x, rng_a, fields=r.fields),
+                         gibbs_sweep_joint(params, x, rng_b))
+            assert rng_a.random() == rng_b.random()
+        if fields_from == "full-recompute":
+            assert passes == 0
+        else:
+            assert confirmed > 0
+
+    def test_sweep_reads_the_handed_fields(self):
+        params = random_params(DbmShape(64, 32, 16), seed=4)
+        r = local_search_joint(params, np.random.default_rng(0))
+        flipped = tuple(-a for a in r.fields)
+        differs = [not _same(gibbs_sweep_joint(params, r.state, np.random.default_rng(s),
+                                               fields=flipped),
+                             gibbs_sweep_joint(params, r.state, np.random.default_rng(s)))
+                   for s in range(10)]
+        assert all(differs)
+
+    def test_posterior_and_clamped_searches_carry_no_fields(self, rng):
+        params = random_params(DbmShape(8, 6, 4), seed=2)
+        v = uniform_spins(8, rng)
+        assert local_search_posterior(params, v, rng).fields is None
+        assert local_search_clamped(params, v, np.arange(8) < 4, rng).fields is None

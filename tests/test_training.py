@@ -488,6 +488,92 @@ class TestOptimizers:
             assert np.all(now >= before - 1e-15)
 
 
+class _WholeVectorAdam:
+    """AdamOptimizer as it was before its passes were chunked, kept verbatim as the reference."""
+
+    def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
+                 eps: float = 1e-8, amsgrad: bool = False):
+        self.lr = learning_rate
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.amsgrad = amsgrad
+        self.t = 0
+        self.m = None
+        self.v = None
+        self.v_max = None
+        self._buf = None
+
+    def update(self, params: DbmParams, grad: GradEstimate) -> DbmParams:
+        g = grad.vec
+        if self.m is None:
+            self.m = np.zeros_like(g)
+            self.v = np.zeros_like(g)
+            self.v_max = np.zeros_like(g) if self.amsgrad else None
+            self._buf = np.empty_like(g)
+        self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        m, v, buf = self.m, self.v, self._buf
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=buf)
+        m += buf
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=buf)
+        buf *= g
+        v += buf
+        np.divide(v, c2, out=buf)  # v_hat
+        if self.amsgrad:
+            np.maximum(self.v_max, buf, out=self.v_max)
+            np.sqrt(self.v_max, out=buf)
+        else:
+            np.sqrt(buf, out=buf)
+        buf += self.eps
+        step = np.divide(m, c1)  # m_hat; becomes the new parameter vector
+        step *= self.lr
+        step /= buf
+        step += params.vec
+        return DbmParams.from_vector(params.shape, step)
+
+
+def _shape_with(n_entries: int) -> DbmShape:
+    """A (n_v, n_h1, 0) shape whose parameter vector has n_entries entries."""
+    for n_h1 in range(1, n_entries):
+        if (n_entries + 1) % (n_h1 + 1) == 0:  # n_entries = n_v (n_h1 + 1) + n_h1
+            return DbmShape((n_entries - n_h1) // (n_h1 + 1), n_h1, 0)
+    raise ValueError(n_entries)
+
+
+class TestBlockedAdam:
+    # n = chunks * chunk + extra; 3 entries is the smallest model (1-1-0).
+    @pytest.mark.parametrize("chunks,extra", [(0, 3), (1, -1), (1, 0), (1, 1), (3, 7)])
+    @pytest.mark.parametrize("amsgrad", [False, True], ids=["adam", "amsgrad"])
+    def test_matches_whole_vector_passes(self, chunks, extra, amsgrad):
+        chunk = training._ADAM_CHUNK
+        n = chunks * chunk + extra
+        shape = _shape_with(n)
+        assert DbmParams.zeros(shape).vec.size == n
+        rng = np.random.default_rng(n)
+        params = DbmParams.from_vector(shape, rng.standard_normal(n))
+        ref_params = params.copy()
+        opt, ref = AdamOptimizer(1e-2, amsgrad=amsgrad), _WholeVectorAdam(1e-2, amsgrad=amsgrad)
+        for _ in range(3):
+            # gradients of mixed scales, so that eps and the AMSGrad maximum matter
+            g = GradEstimate.from_vector(shape, rng.standard_normal(n)
+                                         * 10.0 ** rng.integers(-9, 3, n))
+            before = params.vec.copy()
+            new = opt.update(params, g)
+            ref_params = ref.update(ref_params, g)
+            assert np.array_equal(params.vec, before)
+            assert not np.shares_memory(new.vec, params.vec)
+            assert np.array_equal(new.vec, ref_params.vec)
+            assert np.array_equal(opt.m, ref.m) and np.array_equal(opt.v, ref.v)
+            if amsgrad:
+                assert np.array_equal(opt.v_max, ref.v_max)
+            else:
+                assert opt.v_max is None
+            params = new
+        assert opt._buf.size == min(n, chunk)
+
+
 class TestTrainLoop:
     def _dataset(self):
         from spindbm.data import synthetic_patterns
