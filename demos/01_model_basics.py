@@ -7,7 +7,6 @@ them against exhaustive enumeration, which is tractable at this size.
 """
 
 import numpy as np
-from scipy.special import expit
 
 import spindbm as sd
 
@@ -22,11 +21,12 @@ x = sd.JointState(sd.uniform_spins(3, rng), sd.uniform_spins(3, rng),
 print("\nrandom state v =", x.v, " h1 =", x.h1, " h2 =", x.h2)
 print("energy:", sd.energy(params, x))
 
-# The bipartite layout makes block conditionals one sigmoid per unit.
+# The bipartite layout makes block conditionals one sigmoid per unit:
+# P(s = +1) = sigmoid(2 a) = (1 + tanh a) / 2 for a unit with local field a.
 a_v, a_h2 = sd.local_fields_even(params, x.h1)
-print("\nP(v_i = +1 | h1) =", expit(2 * a_v))
+print("\nP(v_i = +1 | h1) =", 0.5 + 0.5 * np.tanh(a_v))
 a_h1 = sd.local_fields_odd(params, x.v, x.h2)
-print("P(h1_j = +1 | v, h2) =", expit(2 * a_h1))
+print("P(h1_j = +1 | v, h2) =", 0.5 + 0.5 * np.tanh(a_h1))
 
 # Summing out one block analytically gives marginal energies (log-cosh terms).
 print("\neven-block marginal energy E(v, h2):",

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import DEFAULT_TAU_MAX_MH, gibbs_couple_joint, mh_couple_joint
+from .coupling import (DEFAULT_TAU_MAX_GIBBS, DEFAULT_TAU_MAX_MH, gibbs_couple_joint,
+                       mh_couple_joint)
 from .model import DbmShape, JointState, uniform_spins
 from .search import gibbs_sweep_joint, local_search_joint
 from .training import init_params, rng_for
@@ -27,7 +28,6 @@ INITS = ("uniform", "local_mode")
 
 DEFAULT_DIMS = (1, 5, 10, 25, 50, 100, 200)
 DEFAULT_REPLICATES = 200
-DEFAULT_TAU_MAX_GIBBS = 100_000
 
 CSV_HEADER = ("arm", "dim", "replicate", "tau", "T", "total", "truncated")
 
@@ -100,14 +100,16 @@ def run_coupling_sweep(dims=DEFAULT_DIMS, replicates: int = DEFAULT_REPLICATES,
 
     Each cell draws a fresh model from its own deterministic stream, so the
     record list is reproducible bit-for-bit in the seed regardless of
-    threads or execution order.
+    threads or execution order. threads > 1 runs the cells on a pool of at
+    most that many worker processes, and never more workers than cells.
     """
-    if any(d < 1 for d in dims):
-        raise ValueError("dims must be >= 1")
+    if any(d < 1 for d in dims) or threads < 1:
+        raise ValueError("dims and threads must be >= 1")
     tasks = [(arm, dim, rep, seed, tau_max_mh, tau_max_gibbs)
              for arm in arms for dim in dims for rep in range(replicates)]
-    if threads > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(processes=threads) as pool:
+    workers = min(threads, len(tasks))
+    if workers > 1:
+        with multiprocessing.Pool(processes=workers) as pool:
             records = pool.map(_run_one_tuple, tasks, chunksize=16)
     else:
         records = [_run_one_tuple(t) for t in tasks]

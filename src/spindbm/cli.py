@@ -204,9 +204,9 @@ def cmd_bench(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad --dims or --arms: {exc}") from None
     if any(d < 1 for d in dims) or min(args.tau_max_mh, args.tau_max_gibbs,
-                                       args.replicates) < 1:
-        raise ConfigError("--dims, --replicates, --tau-max-mh and --tau-max-gibbs "
-                          "must be >= 1")
+                                       args.replicates, args.threads) < 1:
+        raise ConfigError("--dims, --replicates, --tau-max-mh, --tau-max-gibbs and "
+                          "--threads must be >= 1")
     records = bench_mod.run_coupling_sweep(
         dims, args.replicates, arms, seed=args.seed,
         tau_max_mh=args.tau_max_mh, tau_max_gibbs=args.tau_max_gibbs,

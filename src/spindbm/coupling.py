@@ -33,7 +33,7 @@ from .model import (DbmParams, GradEstimate, HiddenState, JointState, check_join
 from .search import block_pass, gibbs_sweep_joint, sweep_uniforms
 
 DEFAULT_TAU_MAX_MH = 10_000
-DEFAULT_TAU_MAX_GIBBS = 1_000_000
+DEFAULT_TAU_MAX_GIBBS = 100_000
 
 
 class CouplingTruncatedError(RuntimeError):

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .model import (DbmParams, HiddenState, JointState, check_joint, check_visible, h1_field,
                     h2_field, is_spin, uniform_spins, v_field, v_share)
@@ -55,10 +54,13 @@ def default_max_iterations(params: DbmParams) -> int:
 
 
 def _spins(field: np.ndarray, u) -> np.ndarray:
-    """sgn(field) when u is None, else spins with P(+1) = sigmoid(2 field) drawn from u."""
+    """sgn(field) when u is None, else spins with P(+1) = sigmoid(2 field) drawn from u.
+
+    sigmoid(2 a) is evaluated as (1 + tanh a) / 2, which cannot overflow.
+    """
     if u is None:
         return np.where(field >= 0.0, 1.0, -1.0)
-    return np.where(u < expit(2.0 * field), 1.0, -1.0)
+    return np.where(u < 0.5 + 0.5 * np.tanh(field), 1.0, -1.0)
 
 
 def _set_free(v, v_free, rows):
@@ -152,8 +154,7 @@ _ROW_SHARE = 8
 _COLUMN_SHARE = 32
 
 
-def _fixed_point(params: DbmParams, v, rng, max_iterations, trace, c=None,
-                 rows=None) -> SearchResult:
+def _fixed_point(params: DbmParams, v, rng, trace, c=None, rows=None) -> SearchResult:
     """Threshold passes from (v, uniform h1, h2) until the state stops changing.
 
     The one local-search loop; c and rows are passed on to block_pass. Each
@@ -171,7 +172,7 @@ def _fixed_point(params: DbmParams, v, rng, max_iterations, trace, c=None,
     h1 = uniform_spins(n_h1, rng)
     h2 = uniform_spins(n_h2, rng)
     even_first = rng.random() < 0.5
-    cap = max_iterations if max_iterations is not None else default_max_iterations(params)
+    cap = default_max_iterations(params)
     posterior = c is not None
     if trace is not None:
         trace.append(_state(v, h1, h2, posterior))
@@ -245,31 +246,26 @@ def _fixed_point(params: DbmParams, v, rng, max_iterations, trace, c=None,
 
 
 def local_search_joint(params: DbmParams, rng: np.random.Generator,
-                       max_iterations: int | None = None,
                        trace: list | None = None) -> SearchResult:
     """Block-minimize the joint energy from a uniform random start.
 
     trace, when given, receives the JointState after every iteration.
     """
-    return _fixed_point(params, uniform_spins(params.W1.shape[0], rng), rng,
-                        max_iterations, trace)
+    return _fixed_point(params, uniform_spins(params.W1.shape[0], rng), rng, trace)
 
 
 def local_search_posterior(params: DbmParams, v: np.ndarray, rng: np.random.Generator,
-                           max_iterations: int | None = None,
                            trace: list | None = None, c=None) -> SearchResult:
     """Block-minimize the posterior energy over (h1, h2) with v clamped.
 
     c = model.v_share(v), when given, saves computing it here.
     """
     check_visible(params, v)
-    return _fixed_point(params, v, rng, max_iterations, trace,
-                        c=v_share(params, v) if c is None else c)
+    return _fixed_point(params, v, rng, trace, c=v_share(params, v) if c is None else c)
 
 
 def local_search_clamped(params: DbmParams, v_observed: np.ndarray, observed: np.ndarray,
                          rng: np.random.Generator,
-                         max_iterations: int | None = None,
                          trace: list | None = None) -> SearchResult:
     """Like local_search_joint, but visible units flagged observed never move.
 
@@ -288,7 +284,7 @@ def local_search_clamped(params: DbmParams, v_observed: np.ndarray, observed: np
     if free.size == 0 or free[-1] - free[0] + 1 == free.size:  # one run: take views
         free = slice(free[0], free[-1] + 1) if free.size else slice(0, 0)
     rows = (free, params.W1[free], params.b_v[free])
-    return _fixed_point(params, v, rng, max_iterations, trace, rows=rows)
+    return _fixed_point(params, v, rng, trace, rows=rows)
 
 
 def gibbs_sweep_joint(params: DbmParams, x: JointState, rng: np.random.Generator,

@@ -371,28 +371,20 @@ LOG_COLUMNS = tuple(name for name, _ in _LOG_FORMATS)
 
 
 def train_step(params: DbmParams, batch, cfg: TrainConfig, rng: np.random.Generator,
-               optimizer=None, grad_fn=None):
+               optimizer=None):
     """One gradient-ascent step from coupled-chain estimates over a batch.
 
     Each example contributes one positive-phase and one negative-phase
     coupling; their difference estimates the per-example log-likelihood
     gradient and the batch mean drives the optimizer. The chain states of
     the whole batch are weighted by +-coefficient / kept and turned into the
-    batch gradient by one gradient_from_states call. grad_fn is a test
-    hook: when given, it replaces the whole per-example estimate with
-    grad_fn(params, v).
+    batch gradient by one gradient_from_states call.
 
     Returns (new_params, StepMetrics).
     """
     if optimizer is None:
         optimizer = make_optimizer(cfg)
     rngs = rng.spawn(len(batch))
-    if grad_fn is not None:
-        total = GradEstimate.zeros(params.shape)
-        for v in batch:
-            total.add_scaled(grad_fn(params, v), 1.0)
-        total.scale(1.0 / len(batch))
-        return optimizer.update(params, total), StepMetrics(grad_norm=total.norm())
     posterior, joint, stats = [], [], []
     dropped = 0
     for v, sub in zip(batch, rngs):

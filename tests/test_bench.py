@@ -3,8 +3,29 @@ import collections
 import numpy as np
 import pytest
 
-from spindbm import ALL_ARMS, BenchArm, emit_csv, run_coupling_sweep, summarize
+from spindbm import ALL_ARMS, BenchArm, bench, emit_csv, run_coupling_sweep, summarize
 from spindbm.bench import parse_csv, format_summary
+
+
+def record_pool(monkeypatch):
+    """Replace multiprocessing.Pool with an in-process map; returns the processes asked for."""
+    started = []
+
+    class Pool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(bench.multiprocessing, "Pool", Pool)
+    return started
 
 
 class TestArm:
@@ -69,6 +90,20 @@ class TestSweep:
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             run_coupling_sweep(dims=(0,), replicates=1)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_rejects_threads_below_one(self, threads):
+        with pytest.raises(ValueError):
+            run_coupling_sweep(dims=(1,), replicates=1, threads=threads)
+
+    @pytest.mark.parametrize("threads, replicates, workers", [(8, 1, 2), (2, 3, 2)])
+    def test_no_more_workers_than_cells(self, monkeypatch, threads, replicates, workers):
+        started = record_pool(monkeypatch)
+        arms = (BenchArm("mh", "local_mode"), BenchArm("mh", "uniform"))
+        recs = run_coupling_sweep(dims=(2,), replicates=replicates, arms=arms, seed=3,
+                                  threads=threads)
+        assert started == [workers]
+        assert len(recs) == 2 * replicates
 
 
 class TestCsv:

@@ -8,6 +8,7 @@ from spindbm import DbmParams, DbmShape, TrainConfig, load_params, save_params
 from spindbm.cli import CONFIG_KEYS, build_train_config, main, parse_config_file
 from spindbm.data import read_pgm
 
+from test_bench import record_pool
 from test_training import nan_at_step_3
 
 
@@ -354,6 +355,15 @@ class TestBench:
         assert main(["bench", "--dims", "2", "--replicates", "1", *flags,
                      "--out", str(tmp_path / "b.csv"), "--threads", "1"]) == 2
         assert "--dims" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, monkeypatch, threads):
+        started = record_pool(monkeypatch)
+        assert main(["bench", "--dims", "2", "--replicates", "1",
+                     "--out", str(tmp_path / "b.csv"), "--threads", threads]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert started == []
         assert not (tmp_path / "b.csv").exists()
 
 

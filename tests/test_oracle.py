@@ -2,11 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from spindbm import (DbmParams, DbmShape, JointState, SizeCapError,
                      enumerate_joint, enumerate_posterior, exact_grad_loglik,
                      exact_loglik, exact_mh_transition_matrix)
-from spindbm.oracle import (exact_joint_grad_energy, exact_loglik_single,
+from spindbm.oracle import (_logsumexp, exact_joint_grad_energy, exact_loglik_single,
                             exact_posterior_grad_energy, spin_table, state_index)
 
 from conftest import random_params
@@ -134,3 +135,15 @@ class TestMhTransitionMatrix:
         pi = enumerate_joint(params_332).probabilities
         flow = pi[:, None] * p
         np.testing.assert_allclose(flow, flow.T, rtol=1e-12, atol=1e-300)
+
+
+class TestLogSumExp:
+    """The enumeration's log-sum-exp against scipy's, which stays the referee."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 1 << 17])
+    def test_matches_scipy(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (1e-3, 1.0, 30.0, 700.0):
+            a = scale * (rng.standard_normal(n) + rng.standard_normal())
+            for vec in (a, np.round(a), np.concatenate([a, a])):  # with ties at the max
+                np.testing.assert_allclose(_logsumexp(vec), logsumexp(vec), rtol=1e-14, atol=0)

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from spindbm import (DbmParams, DbmShape, DimensionError, HiddenState, JointState,
                      block_minimize_joint, block_minimize_posterior, energy,
@@ -274,12 +275,12 @@ def _state(v, h1, h2, posterior):
     return HiddenState(h1, h2) if posterior else JointState(v, h1, h2)
 
 
-def _reference_fixed_point(params, v, rng, max_iterations, trace, c=None, clamp=None):
+def _reference_fixed_point(params, v, rng, trace, c=None, clamp=None):
     n_h1, n_h2 = params.W2.shape
     h1 = uniform_spins(n_h1, rng)
     h2 = uniform_spins(n_h2, rng)
     even_first = rng.random() < 0.5
-    cap = max_iterations if max_iterations is not None else default_max_iterations(params)
+    cap = default_max_iterations(params)
     posterior = c is not None
     if trace is not None:
         trace.append(_state(v, h1, h2, posterior))
@@ -299,13 +300,13 @@ def _reference_fixed_point(params, v, rng, max_iterations, trace, c=None, clamp=
 def _reference_search(kind, params, rng, v=None, observed=None, trace=None):
     if kind == "joint":
         return _reference_fixed_point(params, uniform_spins(params.W1.shape[0], rng), rng,
-                                      None, trace)
+                                      trace)
     if kind == "posterior":
-        return _reference_fixed_point(params, v, rng, None, trace,
+        return _reference_fixed_point(params, v, rng, trace,
                                       c=params.W1.T @ v + params.b_h1)
     v_obs = np.where(observed, v, 0.0)
     v0 = np.where(observed, v_obs, uniform_spins(len(v), rng))
-    return _reference_fixed_point(params, v0, rng, None, trace, clamp=(observed, v_obs))
+    return _reference_fixed_point(params, v0, rng, trace, clamp=(observed, v_obs))
 
 
 def _search(kind, params, rng, v=None, observed=None, trace=None):
@@ -464,3 +465,19 @@ class TestFieldHandover:
         v = uniform_spins(8, rng)
         assert local_search_posterior(params, v, rng).fields is None
         assert local_search_clamped(params, v, np.arange(8) < 4, rng).fields is None
+
+
+class TestSpinDraw:
+    def test_matches_expit_threshold(self):
+        # the numpy sigmoid against scipy's on fields from -400 to 400, with
+        # uniforms spread over [0, 1) and others just off each threshold
+        rng = np.random.default_rng(0)
+        field = np.concatenate([np.linspace(-400.0, 400.0, 80_001),
+                                np.linspace(-20.0, 20.0, 80_001)])
+        p = expit(2.0 * field)
+        near = p + rng.choice([-1.0, 1.0], field.size) * 10.0 ** rng.uniform(-11.9, -2, field.size)
+        for u in (rng.random(field.size), np.clip(near, 0.0, np.nextafter(1.0, 0.0))):
+            keep = np.abs(u - p) > 1e-12
+            assert keep.sum() > field.size // 2
+            assert np.array_equal(_spins(field[keep], u[keep]),
+                                  np.where(u < p, 1.0, -1.0)[keep])
