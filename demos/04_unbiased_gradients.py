@@ -15,7 +15,7 @@ from spindbm.model import grad_energy_vhh, uniform_spins
 from spindbm.search import gibbs_sweep_joint
 from spindbm.training import TrainConfig, positive_phase_estimate, rng_for
 
-params, v = sd.training.default_check_model(seed=7)
+params, v = sd.training.default_check_model()
 exact = oracle.exact_grad_loglik(params, v).as_vector()
 
 for estimator in ("plain", "marginalized"):

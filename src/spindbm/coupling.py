@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .model import (DbmParams, GradEstimate, HiddenState, JointState, check_joint,
-                    energy_vhh, is_spin, split_state, uniform_spins, v_share)
+                    energy_vhh, is_spin, uniform_spins, v_share)
 from .search import block_pass, gibbs_sweep_joint, sweep_uniforms
 
 DEFAULT_TAU_MAX_MH = 10_000
@@ -60,63 +59,46 @@ class CoupledRun:
         return len(self.x_states) == self.tau + 1
 
 
-def _joint_energy(params: DbmParams):
-    """model.energy_vhh as a function of one concatenated (v, h1, h2) vector."""
-    n_v, n_vh = params.W1.shape[0], sum(params.W1.shape)
-    return lambda x: energy_vhh(params, x[:n_v], x[n_v:n_vh], x[n_vh:])
-
-
-def _posterior_energy(params: DbmParams, v: np.ndarray, c=None):
-    """Joint energy at clamped v as a function of one concatenated (h1, h2) vector.
-
-    The one energy besides model.energy_vhh on the sampler side: v's share
-    of the h1 field (c = model.v_share(v), computed here unless given) and
-    the constant b_v'v are hoisted out of the proposal loop, which saves an
-    n_v x n_h1 gemv (6272 x 500 at image scale) per proposal.
-    """
-    if c is None:
-        c = v_share(params, v)
-    const = float(params.b_v @ v)
-    W2, b_h2 = params.W2, params.b_h2
-    n_h1, n_h2 = W2.shape
-    if n_h2:
-        def e(h):
-            h1, h2 = h[:n_h1], h[n_h1:]
-            return -float(c @ h1) - float((h1 @ W2) @ h2) - float(b_h2 @ h2) - const
-    else:
-        def e(h):
-            return -float(c @ h) - const
-    return e
-
-
-def _mh_chains(energy, split, start, n_steps: int, rng: np.random.Generator,
-               stop_at_meeting: bool = True, keep_states: bool = True) -> CoupledRun:
+def _mh_chains(params: DbmParams, start, n_steps: int, rng: np.random.Generator,
+               v=None, c=None, stop_at_meeting: bool = True,
+               keep_states: bool = True) -> CoupledRun:
     """The one lag-1 coupled uniform-proposal MH loop.
 
-    The chains run on concatenated spin vectors: energy maps one to its
-    energy and split maps it back to a state like start. Step t draws one
-    proposal and one uniform, and both chains accept with
-    min(1, exp(E_current - E_proposal)) on that shared pair. x may move from
-    t = 1 and y from t = 2, so y trails x by one step. The loop stops at the
-    first t with x_t = y_{t-1} (the chains then stay merged) or after
-    n_steps steps, which truncates the run; with stop_at_meeting=False it
-    always runs n_steps and is never marked truncated.
+    With v None the chains run on the joint state and start is a JointState;
+    with a clamped v they run on (h1, h2) and start is a HiddenState, with
+    c = model.v_share(v) hoisted out of the proposal loop (computed here
+    unless given). Either way a chain is a concatenated spin vector of the
+    free units, scored by model.energy_vhh. Step t draws one proposal and one
+    uniform, and both chains accept with min(1, exp(E_current - E_proposal))
+    on that shared pair. x may move from t = 1 and y from t = 2, so y trails
+    x by one step. The loop stops at the first t with x_t = y_{t-1} (the
+    chains then stay merged) or after n_steps steps, which truncates the
+    run; with stop_at_meeting=False it always runs n_steps and is never
+    marked truncated.
     """
     if n_steps < 1:
         raise ValueError("tau_max and n_steps must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng()
     x0 = start.concat()
     if not is_spin(x0):
         raise ValueError("the start state must be a +-1 configuration")
+    joint = v is None
+    if joint:
+        n_v, v = params.W1.shape[0], start.v
+    else:
+        n_v = 0
+        if c is None:
+            c = v_share(params, v)
+    n_vh = n_v + params.W1.shape[1]
     x = y = x0
-    e_x = e_y = energy(x0)
+    e_x = e_y = energy_vhh(params, v, start.h1, start.h2, c)
     xs, ys = [x0], [x0]
     t = 0
     met = False
     while not met and t < n_steps:
         prop = uniform_spins(len(x0), rng)
-        e_p = energy(prop)
+        if joint:
+            v = prop[:n_v]
+        e_p = energy_vhh(params, v, prop[n_v:n_vh], prop[n_vh:], c)
         u = rng.random()
         log_u = math.log(u) if u > 0.0 else -math.inf
         if log_u < e_x - e_p:
@@ -132,21 +114,24 @@ def _mh_chains(energy, split, start, n_steps: int, rng: np.random.Generator,
     truncated = stop_at_meeting and not met
     if not keep_states:
         return CoupledRun([start], [], t, truncated)
-    return CoupledRun([split(a) for a in xs], [split(b) for b in ys], t, truncated)
+
+    def state(a):
+        h1, h2 = a[n_v:n_vh].copy(), a[n_vh:].copy()
+        return JointState(a[:n_v].copy(), h1, h2) if joint else HiddenState(h1, h2)
+
+    return CoupledRun([state(a) for a in xs], [state(b) for b in ys], t, truncated)
 
 
-def mh_couple_joint(params: DbmParams, x0: JointState, tau_max: int = DEFAULT_TAU_MAX_MH,
-                    rng: np.random.Generator = None, keep_states: bool = True) -> CoupledRun:
+def mh_couple_joint(params: DbmParams, x0: JointState, tau_max: int,
+                    rng: np.random.Generator, keep_states: bool = True) -> CoupledRun:
     """Couple two uniform-proposal MH chains on the joint state, starting at x0."""
     check_joint(params, x0.v, x0.h1, x0.h2)
-    return _mh_chains(_joint_energy(params), partial(split_state, params.shape), x0,
-                      tau_max, rng, keep_states=keep_states)
+    return _mh_chains(params, x0, tau_max, rng, keep_states=keep_states)
 
 
-def mh_couple_posterior(params: DbmParams, v: np.ndarray, h0: HiddenState,
-                        tau_max: int = DEFAULT_TAU_MAX_MH,
-                        rng: np.random.Generator = None,
-                        keep_states: bool = True, c=None) -> CoupledRun:
+def mh_couple_posterior(params: DbmParams, v: np.ndarray, h0: HiddenState, tau_max: int,
+                        rng: np.random.Generator, keep_states: bool = True,
+                        c=None) -> CoupledRun:
     """Couple two MH chains on the hidden state with v clamped.
 
     Both acceptance ratios use the joint energy at the clamped v, so the
@@ -154,13 +139,7 @@ def mh_couple_posterior(params: DbmParams, v: np.ndarray, h0: HiddenState,
     given, saves computing it here.
     """
     check_joint(params, v, h0.h1, h0.h2)
-    n_h1 = params.W1.shape[1]
-
-    def split_hidden(h):
-        return HiddenState(h[:n_h1].copy(), h[n_h1:].copy())
-
-    return _mh_chains(_posterior_energy(params, v, c), split_hidden, h0, tau_max, rng,
-                      keep_states=keep_states)
+    return _mh_chains(params, h0, tau_max, rng, v, c, keep_states=keep_states)
 
 
 def mh_coupled_trajectory(params: DbmParams, x0: JointState, n_steps: int,
@@ -172,8 +151,7 @@ def mh_coupled_trajectory(params: DbmParams, x0: JointState, n_steps: int,
     can be checked directly.
     """
     check_joint(params, x0.v, x0.h1, x0.h2)
-    run = _mh_chains(_joint_energy(params), partial(split_state, params.shape), x0,
-                     n_steps, rng, stop_at_meeting=False)
+    run = _mh_chains(params, x0, n_steps, rng, stop_at_meeting=False)
     return run.x_states, run.y_states
 
 
@@ -189,10 +167,8 @@ def mh_step(params: DbmParams, x: JointState, rng: np.random.Generator) -> Joint
 # Gibbs-based coupling baseline
 # ---------------------------------------------------------------------------
 
-def gibbs_couple_joint(params: DbmParams, x0: JointState,
-                       tau_max: int = DEFAULT_TAU_MAX_GIBBS,
-                       rng: np.random.Generator = None,
-                       keep_states: bool = True) -> CoupledRun:
+def gibbs_couple_joint(params: DbmParams, x0: JointState, tau_max: int,
+                       rng: np.random.Generator, keep_states: bool = True) -> CoupledRun:
     """Lag-1 coupled systematic-scan Gibbs chains from a shared start.
 
     After x's solo sweep, each step is one block pass of both chains on
@@ -202,8 +178,6 @@ def gibbs_couple_joint(params: DbmParams, x0: JointState,
     that grows steeply with dimension; this is the baseline the MH coupler
     is measured against.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     if tau_max < 1:
         raise ValueError("tau_max must be >= 1")
     if not is_spin(x0.concat()):

@@ -187,12 +187,6 @@ def uniform_spins(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.where(rng.random(n) < 0.5, 1.0, -1.0)
 
 
-def split_state(shape: DbmShape, x: np.ndarray) -> JointState:
-    """Split a concatenated (v, h1, h2) vector into a JointState (copies)."""
-    n_v, n_h1 = shape.n_v, shape.n_h1
-    return JointState(x[:n_v].copy(), x[n_v:n_v + n_h1].copy(), x[n_v + n_h1:].copy())
-
-
 def logcosh(a):
     """log(cosh(a)), overflow-safe for large |a|."""
     a = np.abs(a)
@@ -346,12 +340,18 @@ def energy(params: DbmParams, x: JointState) -> float:
     return energy_vhh(params, x.v, x.h1, x.h2)
 
 
-def energy_vhh(params: DbmParams, v, h1, h2) -> float:
-    """The joint energy of (v, h1, h2); the MH couplers' acceptance energy."""
-    if params.W2.shape[1]:
-        return (-float((v @ params.W1) @ h1) - float((h1 @ params.W2) @ h2)
-                - float(params.b_v @ v) - float(params.b_h1 @ h1) - float(params.b_h2 @ h2))
-    return -float((v @ params.W1) @ h1) - float(params.b_v @ v) - float(params.b_h1 @ h1)
+def energy_vhh(params: DbmParams, V, H1, H2, c=None) -> float | np.ndarray:
+    """The one joint energy kernel: -h1'a_h1 - b_v'v - b_h2'h2, a_h1 = h1_field(V, H2, c).
+
+    One state (1-D) gives a float; R states stacked as rows give an (R,)
+    array (a 1-D V is shared by every row). c = v_share(V), when given, is
+    v's hoisted share of the h1 field: a posterior chain is the joint chain
+    at a clamped v. The MH couplers' acceptance energy.
+    """
+    a = h1_field(params, V, H2, c)
+    if H1.ndim == 1:
+        return -float(H1 @ a + params.b_v @ V + params.b_h2 @ H2)
+    return -(np.einsum("ij,ij->i", H1, a) + V @ params.b_v + H2 @ params.b_h2)
 
 
 def energy_even_marginal(params: DbmParams, v: np.ndarray, h2: np.ndarray) -> float:
@@ -362,29 +362,21 @@ def energy_even_marginal(params: DbmParams, v: np.ndarray, h2: np.ndarray) -> fl
     and vanishes under the gradient).
     """
     a = local_fields_odd(params, v, h2)
-    e = -float(params.b_v @ v) - float(np.sum(logcosh(a)))
-    if len(h2):
-        e -= float(params.b_h2 @ h2)
-    return e
+    return -float(params.b_v @ v) - float(np.sum(logcosh(a))) - float(params.b_h2 @ h2)
 
 
 def energy_odd_marginal(params: DbmParams, h1: np.ndarray) -> float:
     """Energy of h1 with both even blocks (v, h2) summed out analytically."""
     a_v, a_h2 = local_fields_even(params, h1)
-    e = -float(params.b_h1 @ h1) - float(np.sum(logcosh(a_v)))
-    if len(a_h2):
-        e -= float(np.sum(logcosh(a_h2)))
-    return e
+    return -float(params.b_h1 @ h1) - float(np.sum(logcosh(a_v))) - float(np.sum(logcosh(a_h2)))
 
 
 def energy_odd_posterior(params: DbmParams, v: np.ndarray, h1: np.ndarray) -> float:
     """Energy of h1 given clamped v, with h2 summed out analytically."""
     if len(v) != params.W1.shape[0] or len(h1) != params.W1.shape[1]:
         raise DimensionError("v/h1 lengths do not match W1")
-    e = -float((v @ params.W1) @ h1) - float(params.b_v @ v) - float(params.b_h1 @ h1)
-    if params.W2.shape[1]:
-        e -= float(np.sum(logcosh(h2_field(params, h1))))
-    return e
+    return (-float(v_share(params, v) @ h1) - float(params.b_v @ v)
+            - float(np.sum(logcosh(h2_field(params, h1)))))
 
 
 # ---------------------------------------------------------------------------

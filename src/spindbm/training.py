@@ -74,12 +74,15 @@ def random_semi_orthogonal(n_rows: int, n_cols: int, rng: np.random.Generator) -
     return q * d
 
 
-def logistic_draws(n: int, rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
-    """Logistic(0, scale) samples via the inverse CDF scale*ln(u/(1-u))."""
+LOGISTIC_SCALE = 0.5  # the scale of the initial biases' logistic law
+
+
+def logistic_draws(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Logistic(0, LOGISTIC_SCALE) samples via the inverse CDF scale*ln(u/(1-u))."""
     u = rng.random(n)
     while np.any(u == 0.0):  # rng.random() can return exactly 0
         u[u == 0.0] = rng.random(int(np.sum(u == 0.0)))
-    return scale * np.log(u / (1.0 - u))
+    return LOGISTIC_SCALE * np.log(u / (1.0 - u))
 
 
 def init_params(shape: DbmShape, rng: np.random.Generator) -> DbmParams:
@@ -168,6 +171,10 @@ class SgdOptimizer:
 # 4 K and 59 ms in whole-vector passes.
 _ADAM_CHUNK = 16_384
 
+ADAM_BETA1 = 0.9  # decay of the first moment
+ADAM_BETA2 = 0.999  # decay of the second moment
+ADAM_EPS = 1e-8  # added to the denominator's square root
+
 
 class AdamOptimizer:
     """Adam / AMSGrad ascent with bias-corrected moments.
@@ -178,10 +185,8 @@ class AdamOptimizer:
     whole-vector passes, so the chunking does not change any bit.
     """
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, amsgrad: bool = False):
+    def __init__(self, learning_rate: float, amsgrad: bool = False):
         self.lr = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.amsgrad = amsgrad
         self.t = 0
         self.m = None
@@ -198,7 +203,7 @@ class AdamOptimizer:
             self.v_max = np.zeros(n) if self.amsgrad else None
             self._buf = np.empty(min(n, _ADAM_CHUNK))
         self.t += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, self.lr, ADAM_EPS
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         new = np.empty(n)
@@ -481,16 +486,13 @@ def pcd_step(params: DbmParams, batch, persistent_chains: list, cfg: TrainConfig
 # sampling and completion
 # ---------------------------------------------------------------------------
 
-def sample(params: DbmParams, n: int, mh_steps: int = 0,
-           rng: np.random.Generator = None) -> list:
+def sample(params: DbmParams, n: int, mh_steps: int = 0, *, rng: np.random.Generator) -> list:
     """Draw n visible vectors: local search to a mode, then mh_steps MH moves.
 
     With mh_steps = 0 the local minimum itself is the sample; uniform
     proposals are rejected so often near a mode that the extra MH steps
     rarely move the state anyway.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     out = []
     for _ in range(n):
         x = local_search_joint(params, rng).state
@@ -584,10 +586,13 @@ def train(cfg: TrainConfig, dataset, out_dir=None, initial_params: DbmParams = N
 
 Z_THRESHOLD = 4.0  # an oracle z-test passes when every |z| is at most this
 
-def default_check_model(seed: int = 7) -> tuple:
+CHECK_MODEL_SEED = 7  # the oracle check's fixed 3-3-2 model
+
+
+def default_check_model() -> tuple:
     """Small fixed model and visible vector used by the oracle check."""
     shape = DbmShape(3, 3, 2)
-    params = init_params(shape, rng_for(seed, 2))
+    params = init_params(shape, rng_for(CHECK_MODEL_SEED, 2))
     v = np.array([1.0, -1.0, 1.0])
     return params, v
 

@@ -37,7 +37,7 @@ def report(criterion, detail):
 @pytest.fixture(scope="module")
 def check_model():
     """Fixed seeded 3-3-2 model and visible vector for the estimator criteria."""
-    params, v = sd.training.default_check_model(seed=7)
+    params, v = sd.training.default_check_model()
     return params, v
 
 

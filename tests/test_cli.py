@@ -370,13 +370,13 @@ class TestBench:
 class TestOracleCheck:
     def test_too_few_samples_exits_2(self, capsys):
         assert main(["oracle-check", "--samples", "100"]) == 2
-        assert "power" in capsys.readouterr().out
+        assert "power" in capsys.readouterr().err
 
     def test_bad_tau_max_exits_2(self, capsys):
         assert main(["oracle-check", "--samples", "1000", "--tau-max", "0"]) == 2
         assert "--tau-max" in capsys.readouterr().err
 
     def test_passes_with_adequate_samples(self, capsys):
-        assert main(["oracle-check", "--samples", "3000", "--min-samples", "1000"]) == 0
+        assert main(["oracle-check", "--samples", "3000"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out

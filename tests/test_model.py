@@ -13,7 +13,7 @@ from spindbm import (CheckpointError, DbmParams, DbmShape, DimensionError,
                      grad_energy_odd_posterior, load_params, local_fields_even,
                      local_fields_odd, logcosh, save_params, uniform_spins)
 from spindbm import model, oracle
-from spindbm.training import AdamOptimizer, SgdOptimizer, init_params
+from spindbm.training import AdamOptimizer, SgdOptimizer, default_check_model, init_params
 from spindbm.model import grad_energy_vhh
 
 from conftest import random_params
@@ -88,6 +88,56 @@ class TestEnergy:
             x = JointState(uniform_spins(3, rng), uniform_spins(3, rng), uniform_spins(2, rng))
             swapped = JointState(x.v, x.h1[[1, 0, 2]], x.h2)
             assert abs(energy(params_332, x) - energy(p, swapped)) < 1e-12
+
+
+def _split_rows(shape, spins):
+    n_v, n_vh = shape.n_v, shape.n_v + shape.n_h1
+    return spins[:, :n_v], spins[:, n_v:n_vh], spins[:, n_vh:]
+
+
+class TestEnergyKernel:
+    """energy_vhh on stacked rows against the oracle, single rows and the clamped-v form."""
+
+    def test_all_states_match_oracle_and_single_rows(self):
+        params = default_check_model()[0]
+        spins = oracle.spin_table(params.shape.total)
+        assert spins.shape == (2 ** 8, 8)
+        V, H1, H2 = _split_rows(params.shape, spins)
+        e = model.energy_vhh(params, V, H1, H2)
+        assert e.shape == (2 ** 8,)
+        assert np.max(np.abs(e - oracle._joint_energies(params, spins))) <= 1e-12
+        singles = np.array([model.energy_vhh(params, *row) for row in zip(V, H1, H2)])
+        assert np.max(np.abs(e - singles)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [DbmShape(3, 3, 2), DbmShape(6, 5, 0)], ids=str)
+    def test_clamped_v_form_equals_plain_form(self, shape):
+        params = random_params(shape, seed=8)
+        V, H1, H2 = _split_rows(shape, oracle.spin_table(shape.total))
+        e = model.energy_vhh(params, V, H1, H2)
+        C = model.v_share(params, V)
+        assert np.max(np.abs(model.energy_vhh(params, V, H1, H2, C) - e)) <= 1e-12
+        v = V[5]  # one clamped v shared by every row
+        c = model.v_share(params, v)
+        plain = model.energy_vhh(params, np.tile(v, (len(H1), 1)), H1, H2)
+        assert np.max(np.abs(model.energy_vhh(params, v, H1, H2, c) - plain)) <= 1e-12
+        for row in (0, 9, len(H1) - 1):
+            assert model.energy_vhh(params, V[row], H1[row], H2[row], C[row]) == \
+                pytest.approx(e[row], abs=1e-12)
+
+    def test_rbm_matches_oracle(self):
+        params = random_params(DbmShape(4, 3, 0), seed=9)
+        spins = oracle.spin_table(7)
+        e = model.energy_vhh(params, *_split_rows(params.shape, spins))
+        assert np.max(np.abs(e - oracle._joint_energies(params, spins))) <= 1e-12
+
+    def test_one_state_returns_python_float(self, params_332, rng):
+        v, h1, h2 = uniform_spins(3, rng), uniform_spins(3, rng), uniform_spins(2, rng)
+        e = model.energy_vhh(params_332, v, h1, h2)
+        assert type(e) is float
+        assert type(model.energy_vhh(params_332, v, h1, h2, model.v_share(params_332, v))) \
+            is float
+        assert e == pytest.approx(scalar_loop_energy(params_332, JointState(v, h1, h2)),
+                                  abs=1e-12)
 
 
 class TestLocalFields:

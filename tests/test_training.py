@@ -468,7 +468,7 @@ class TestOptimizers:
                            np.zeros(1), np.zeros(1), np.zeros(1))
         g = GradEstimate.zeros(params.shape)
         g.vec[:] = 2.0
-        opt = AdamOptimizer(0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = AdamOptimizer(0.1)
         new = opt.update(params, g)
         m_hat = (0.1 * 2.0) / (1 - 0.9)
         v_hat = (0.001 * 4.0) / (1 - 0.999)
