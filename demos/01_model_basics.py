@@ -9,6 +9,7 @@ them against exhaustive enumeration, which is tractable at this size.
 import numpy as np
 
 import spindbm as sd
+from spindbm.model import h1_field, h2_field, v_field
 
 rng = np.random.default_rng(0)
 shape = sd.DbmShape(3, 3, 2)
@@ -23,16 +24,16 @@ print("energy:", sd.energy(params, x))
 
 # The bipartite layout makes block conditionals one sigmoid per unit:
 # P(s = +1) = sigmoid(2 a) = (1 + tanh a) / 2 for a unit with local field a.
-a_v, a_h2 = sd.local_fields_even(params, x.h1)
-print("\nP(v_i = +1 | h1) =", 0.5 + 0.5 * np.tanh(a_v))
-a_h1 = sd.local_fields_odd(params, x.v, x.h2)
-print("P(h1_j = +1 | v, h2) =", 0.5 + 0.5 * np.tanh(a_h1))
+print("\nP(v_i = +1 | h1) =", 0.5 + 0.5 * np.tanh(v_field(params, x.h1)))
+print("P(h1_j = +1 | v, h2) =", 0.5 + 0.5 * np.tanh(h1_field(params, x.v, x.h2)))
+print("P(h2_k = +1 | h1) =", 0.5 + 0.5 * np.tanh(h2_field(params, x.h1)))
 
-# Summing out one block analytically gives marginal energies (log-cosh terms).
-print("\neven-block marginal energy E(v, h2):",
-      sd.energy_even_marginal(params, x.v, x.h2))
-print("odd-block marginal energy E(h1):   ",
-      sd.energy_odd_marginal(params, x.h1))
+# Summing out one block by brute force gives a marginal energy: here h1,
+# whose 8 configurations are enumerated (the oracle's spin table).
+h1_rows = sd.oracle.spin_table(3)
+neg_e = [-sd.energy(params, sd.JointState(x.v, h1, x.h2)) for h1 in h1_rows]
+print("\neven-block marginal energy E(v, h2) = -log sum_h1 exp(-E):",
+      -np.logaddexp.reduce(neg_e))
 
 # At 8 units we can enumerate all 256 states and normalize exactly.
 dist = sd.enumerate_joint(params)

@@ -11,9 +11,9 @@ import numpy as np
 
 import spindbm as sd
 from spindbm import oracle
-from spindbm.model import grad_energy_vhh, uniform_spins
+from spindbm.model import uniform_spins
 from spindbm.search import gibbs_sweep_joint
-from spindbm.training import TrainConfig, positive_phase_estimate, rng_for
+from spindbm.training import TrainConfig, gradient_from_states, positive_phase_estimate
 
 params, v = sd.training.default_check_model()
 exact = oracle.exact_grad_loglik(params, v).as_vector()
@@ -32,7 +32,8 @@ def cd_style(p, vv, rng):
     g_pos, _, _ = positive_phase_estimate(p, vv, cfg, rng)
     x = sd.JointState(uniform_spins(3, rng), uniform_spins(3, rng), uniform_spins(2, rng))
     x = gibbs_sweep_joint(p, x, rng)
-    return grad_energy_vhh(x.v, x.h1, x.h2).add_scaled(g_pos, -1.0)
+    g_neg = gradient_from_states(p, "plain", [], [(x.v, x.h1, x.h2, 1.0)])
+    return g_neg.add_scaled(g_pos, -1.0)
 
 
 rep = sd.unbiasedness_report(params, v, n_samples=20_000, seed=0, estimate_fn=cd_style)

@@ -20,12 +20,9 @@ from .data import (BinaryDataset, Mask, binarize_u8, debinarize_u8,
                    spins_to_images, synthetic_patterns, to_spin_dataset)
 from .model import (CheckpointError, DbmParams, DbmShape, DimensionError,
                     GradEstimate, HiddenState, JointState, energy,
-                    energy_even_marginal, energy_odd_marginal,
-                    energy_odd_posterior, grad_energy,
                     grad_energy_even_marginal, grad_energy_odd_marginal,
                     grad_energy_odd_posterior, grad_from_rows, load_params,
-                    local_fields_even, local_fields_odd, logcosh, save_params,
-                    uniform_spins)
+                    save_params, uniform_spins)
 from .oracle import (ExactDistribution, SizeCapError, enumerate_joint,
                      enumerate_posterior, exact_grad_loglik, exact_loglik,
                      exact_mh_transition_matrix)

@@ -125,6 +125,8 @@ def cmd_train(args) -> int:
 def cmd_sample(args) -> int:
     if args.n < 1 or args.mh_steps < 0:
         raise ConfigError("--n must be >= 1 and --mh-steps >= 0")
+    if bool(args.height) != bool(args.width):
+        raise ConfigError("--height and --width must be given together")
     params = load_params(_existing(args.checkpoint, "checkpoint"))
     images = bool(args.height and args.width)
     if images and args.height * args.width * 8 != params.shape.n_v:
@@ -165,7 +167,7 @@ def cmd_complete(args) -> int:
         loaded = np.load(args.input)
         if loaded.dtype != np.uint8:
             # raw spin rows with an explicit mask file
-            rows = data_mod.load_spin_rows(args.input)
+            rows = data_mod.spin_rows(loaded, args.input)
             if args.mask_file is None:
                 raise ConfigError("spin-row input needs --mask-file")
             observed = np.load(_existing(args.mask_file, "mask file")).astype(bool)
@@ -179,6 +181,8 @@ def cmd_complete(args) -> int:
         images = loaded if loaded.ndim == 3 else loaded[None]
     else:
         images, _ = data_mod.load_idx_images(args.input)
+    if args.mask_file is not None:
+        raise ConfigError("--mask-file is for spin-row inputs; image inputs take --mask")
     h, w = images.shape[1:]
     if h * w * 8 != n_v:
         raise ConfigError(f"images are {h}x{w} but the model expects n_v={n_v}")

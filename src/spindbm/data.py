@@ -192,11 +192,15 @@ def read_pgm(path) -> np.ndarray:
         return np.frombuffer(f.read(w * h), dtype=np.uint8).reshape(h, w).copy()
 
 
-def load_spin_rows(path) -> np.ndarray:
-    """Load an .npy of +-1 rows (int8 or float) as float64."""
-    rows = np.load(path)
+def spin_rows(rows: np.ndarray, source) -> np.ndarray:
+    """+-1 rows (int8 or float; one row or a matrix) as float64; source names them in errors."""
     if rows.ndim == 1:
         rows = rows[None, :]
     if not np.all(np.abs(rows) == 1):
-        raise ValueError(f"{path}: entries must be +-1")
+        raise ValueError(f"{source}: entries must be +-1")
     return rows.astype(np.float64)
+
+
+def load_spin_rows(path) -> np.ndarray:
+    """Load an .npy of +-1 rows (int8 or float) as float64."""
+    return spin_rows(np.load(path), path)

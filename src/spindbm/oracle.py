@@ -4,9 +4,9 @@ Everything here enumerates the full state space, so it only works for
 models with at most MAX_TOTAL_UNITS units, but within that limit it gives
 machine-precision ground truth: the partition function, exact marginals
 and posteriors, exact log-likelihood, the exact log-likelihood gradient,
-and the explicit Metropolis-Hastings transition matrix. The sampling and
-estimation code never calls into this module; tests use it as the
-independent referee.
+and the explicit Metropolis-Hastings transition matrix. It writes its own
+energy, so tests use it as the independent referee; of the library, only
+training.unbiasedness_report calls into it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DbmParams, DbmShape, GradEstimate, HiddenState, JointState
+from .model import DbmParams, DbmShape, GradEstimate
 
 MAX_TOTAL_UNITS = 24
 _CHUNK = 1 << 16
@@ -77,27 +77,16 @@ def _joint_energies(params: DbmParams, spins: np.ndarray) -> np.ndarray:
 class ExactDistribution:
     """Exhaustively enumerated distribution over joint or hidden states.
 
-    probabilities[i] is the mass of state index i; spin_table(n_units, i, i+1)
-    recovers the configuration. For posterior distributions, v holds the
-    clamped visible vector and states enumerate the hidden units only.
+    probabilities[i] is the mass of state index i; spin_table(n, i, i+1)
+    recovers the configuration, n being the number of enumerated units. For
+    posterior distributions, v holds the clamped visible vector and states
+    enumerate the hidden units only.
     """
 
     shape: DbmShape
     probabilities: np.ndarray
     log_partition: float
     v: np.ndarray | None = None
-
-    @property
-    def n_units(self) -> int:
-        return self.shape.total if self.v is None else self.shape.n_h1 + self.shape.n_h2
-
-    def state_at(self, i: int):
-        row = spin_table(self.n_units, i, i + 1)[0]
-        if self.v is not None:
-            return HiddenState(row[:self.shape.n_h1].copy(), row[self.shape.n_h1:].copy())
-        s = self.shape
-        return JointState(row[:s.n_v].copy(), row[s.n_v:s.n_v + s.n_h1].copy(),
-                          row[s.n_v + s.n_h1:].copy())
 
     def prob(self, state) -> float:
         return float(self.probabilities[state_index(state.concat())])
@@ -136,19 +125,6 @@ def enumerate_posterior(params: DbmParams, v: np.ndarray) -> ExactDistribution:
         neg_e[lo:hi] = -_joint_energies(params, full)
     log_z = _logsumexp(neg_e)
     return ExactDistribution(s, np.exp(neg_e - log_z), log_z, v=v.copy())
-
-
-def expected_grad(dist: ExactDistribution, grad_fn) -> GradEstimate:
-    """Expectation of grad_fn(state) under an enumerated distribution.
-
-    Plain loop over states; intended for models of about 12 units or less.
-    For the plain energy gradient use the vectorized exact_*_grad_energy.
-    """
-    _check_cap(dist.n_units, 12)
-    acc = GradEstimate.zeros(dist.shape)
-    for i, p in enumerate(dist.probabilities):
-        acc.add_scaled(grad_fn(dist.state_at(i)), float(p))
-    return acc
 
 
 def _expected_grad_energy_rows(shape: DbmShape, probs: np.ndarray, make_rows) -> GradEstimate:

@@ -56,11 +56,12 @@ def default_max_iterations(params: DbmParams) -> int:
 def _spins(field: np.ndarray, u) -> np.ndarray:
     """sgn(field) when u is None, else spins with P(+1) = sigmoid(2 field) drawn from u.
 
-    sigmoid(2 a) is evaluated as (1 + tanh a) / 2, which cannot overflow.
+    u is uniform on [-1, 1) (see sweep_uniforms): u < tanh(a) has probability
+    (1 + tanh a) / 2 = sigmoid(2 a), and tanh cannot overflow.
     """
     if u is None:
         return np.where(field >= 0.0, 1.0, -1.0)
-    return np.where(u < 0.5 + 0.5 * np.tanh(field), 1.0, -1.0)
+    return np.where(u < np.tanh(field), 1.0, -1.0)
 
 
 def _set_free(v, v_free, rows):
@@ -112,16 +113,17 @@ def block_pass(params: DbmParams, v, h1, h2, even_first: bool, uniforms=_THRESHO
 
 def sweep_uniforms(rng: np.random.Generator, even_first: bool, n_v: int, n_h1: int,
                    n_h2: int):
-    """One Gibbs sweep's uniforms (u_v, u_h1, u_h2), drawn in block_pass's update order.
+    """One Gibbs sweep's uniforms (u_v, u_h1, u_h2) on [-1, 1), drawn in block_pass's update order.
 
+    rng.uniform(-1.0, 1.0, n) is rng.random(n)'s stream scaled to 2u - 1.
     n_v = 0 draws no u_v: the posterior sweep, where v is fixed.
     """
     if even_first:
-        u_v = rng.random(n_v) if n_v else None
-        u_h2 = rng.random(n_h2)
-        return u_v, rng.random(n_h1), u_h2
-    u_h1 = rng.random(n_h1)
-    return (rng.random(n_v) if n_v else None), u_h1, rng.random(n_h2)
+        u_v = rng.uniform(-1.0, 1.0, n_v) if n_v else None
+        u_h2 = rng.uniform(-1.0, 1.0, n_h2)
+        return u_v, rng.uniform(-1.0, 1.0, n_h1), u_h2
+    u_h1 = rng.uniform(-1.0, 1.0, n_h1)
+    return (rng.uniform(-1.0, 1.0, n_v) if n_v else None), u_h1, rng.uniform(-1.0, 1.0, n_h2)
 
 
 def block_minimize_joint(params: DbmParams, v, h1, h2, even_first: bool):

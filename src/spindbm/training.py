@@ -277,16 +277,6 @@ def gradient_from_states(params: DbmParams, estimator: str, posterior: list, joi
                           np.concatenate([H2, T2]), np.concatenate([half, half]))
 
 
-def posterior_grad_fn(params: DbmParams, v: np.ndarray, estimator: str):
-    """Gradient integrand for posterior-chain states (h1, h2)."""
-    return lambda h: gradient_from_states(params, estimator, [(v, h.h1, h.h2, 1.0)], [])
-
-
-def joint_grad_fn(params: DbmParams, estimator: str):
-    """Gradient integrand for joint-chain states (v, h1, h2)."""
-    return lambda x: gradient_from_states(params, estimator, [], [(x.v, x.h1, x.h2, 1.0)])
-
-
 def positive_phase_run(params: DbmParams, v: np.ndarray, tau_max: int,
                        rng: np.random.Generator):
     """Posterior coupling from a perturbed posterior mode: (run, search_steps).

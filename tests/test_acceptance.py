@@ -20,10 +20,11 @@ from spindbm.data import synthetic_patterns
 from spindbm.model import energy_vhh
 from spindbm.oracle import state_index
 from spindbm.search import block_minimize_joint, gibbs_sweep_joint, local_search_joint
-from spindbm.training import (TrainConfig, joint_grad_fn, negative_phase_run,
-                              positive_phase_run, posterior_grad_fn, rng_for)
+from spindbm.training import (ESTIMATORS, TrainConfig, _joint_states, _posterior_states,
+                              gradient_from_states, negative_phase_run,
+                              positive_phase_run, rng_for)
 
-from conftest import random_params
+from conftest import enumerated_states, random_params, summed_out_energy
 
 
 def report(criterion, detail):
@@ -46,8 +47,9 @@ def estimator_moments(check_model):
     """One Monte Carlo pass shared by criteria 3 and 4.
 
     N paired draws of the plain and marginalized estimators on the same
-    coupled runs; returns componentwise means and variances plus the
-    exact gradient.
+    coupled runs, each built as training builds it: gradient_from_states
+    over the runs' telescope_terms states. Returns componentwise means and
+    variances plus the exact gradient.
     """
     params, v = check_model
     exact = oracle.exact_grad_loglik(params, v).as_vector()
@@ -59,10 +61,9 @@ def estimator_moments(check_model):
     for _ in range(n):
         prun, _ = positive_phase_run(params, v, 100_000, rng)
         nrun, _ = negative_phase_run(params, 100_000, rng)
-        for est in ("plain", "marginalized"):
-            gp = sd.telescope_estimate(prun, posterior_grad_fn(params, v, est))
-            gn = sd.telescope_estimate(nrun, joint_grad_fn(params, est))
-            g = gn.add_scaled(gp, -1.0).vec
+        posterior, joint = _posterior_states(v, prun, -1.0), _joint_states(nrun, 1.0)
+        for est in ESTIMATORS:
+            g = gradient_from_states(params, est, posterior, joint).vec
             acc[est] += g
             acc2[est] += g * g
     out = {"n": n, "exact": exact}
@@ -129,13 +130,9 @@ def test_criterion_04_marginalization_equivalence_and_variance(check_model,
                                                                estimator_moments):
     params, v = check_model
     # (a) exact expectations of the two estimator forms agree to 1e-10
-    post = oracle.enumerate_posterior(params, v)
-    joint = oracle.enumerate_joint(params)
     plain_exact = oracle.exact_joint_grad_energy(params)
     plain_exact.add_scaled(oracle.exact_posterior_grad_energy(params, v), -1.0)
-    marg_exact = oracle.expected_grad(joint, joint_grad_fn(params, "marginalized"))
-    marg_exact.add_scaled(
-        oracle.expected_grad(post, posterior_grad_fn(params, v, "marginalized")), -1.0)
+    marg_exact = gradient_from_states(params, "marginalized", *enumerated_states(params, v))
     gap = float(np.max(np.abs(plain_exact.vec - marg_exact.vec)))
     assert gap < 1e-10, gap
     # (b) marginalized variance no larger for >= 90% of components
@@ -147,31 +144,49 @@ def test_criterion_04_marginalization_equivalence_and_variance(check_model,
 
 
 def test_criterion_05_gradient_correctness():
+    # each gradient form against central differences of the energy it
+    # differentiates; marginal energies by brute-force sums over their block
     from test_model import central_diff
-    shape = sd.DbmShape(4, 3, 2)
     worst = 0.0
-    for seed in range(20):
-        params = random_params(shape, seed=seed)
-        r = np.random.default_rng(seed)
-        v = sd.uniform_spins(4, r)
-        h1 = sd.uniform_spins(3, r)
-        h2 = sd.uniform_spins(2, r)
-        x = sd.JointState(v, h1, h2)
-        cases = [
-            (sd.grad_energy(params, x).as_vector(), lambda p: sd.energy(p, x)),
-            (sd.grad_energy_even_marginal(params, v, h2).as_vector(),
-             lambda p: sd.energy_even_marginal(p, v, h2)),
-            (sd.grad_energy_odd_marginal(params, h1).as_vector(),
-             lambda p: sd.energy_odd_marginal(p, h1)),
-            (sd.grad_energy_odd_posterior(params, v, h1).as_vector(),
-             lambda p: sd.energy_odd_posterior(p, v, h1)),
-        ]
-        for analytic, f in cases:
-            fd = central_diff(f, params)
-            np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-6)
-            scale = np.maximum(np.abs(analytic), 1.0)
-            worst = max(worst, float(np.max(np.abs(analytic - fd) / scale)))
-    report(5, f"4 gradient forms x 20 models; worst relative deviation {worst:.2e}")
+    n_models = 0
+    for shape in (sd.DbmShape(4, 3, 2), sd.DbmShape(4, 3, 0)):
+        for seed in range(20):
+            params = random_params(shape, seed=seed)
+            r = np.random.default_rng(seed)
+            v = sd.uniform_spins(shape.n_v, r)
+            h1 = sd.uniform_spins(shape.n_h1, r)
+            h2 = sd.uniform_spins(shape.n_h2, r)
+            x = sd.JointState(v, h1, h2)
+
+            def even(p):
+                return summed_out_energy(p, v=v, h2=h2)
+
+            def odd(p):
+                return summed_out_energy(p, h1=h1)
+
+            def odd_posterior(p):
+                return summed_out_energy(p, v=v, h1=h1)
+
+            def rows(estimator, posterior, joint):
+                return gradient_from_states(params, estimator, posterior, joint).as_vector()
+
+            state = [(v, h1, h2, 1.0)]
+            cases = [
+                (rows("plain", [], state), lambda p: sd.energy(p, x)),
+                (sd.grad_energy_even_marginal(params, v, h2).as_vector(), even),
+                (sd.grad_energy_odd_marginal(params, h1).as_vector(), odd),
+                (sd.grad_energy_odd_posterior(params, v, h1).as_vector(), odd_posterior),
+                (rows("marginalized", state, []), lambda p: 0.5 * (even(p) + odd_posterior(p))),
+                (rows("marginalized", [], state), lambda p: 0.5 * (even(p) + odd(p))),
+            ]
+            for analytic, f in cases:
+                fd = central_diff(f, params)
+                np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-6)
+                scale = np.maximum(np.abs(analytic), 1.0)
+                worst = max(worst, float(np.max(np.abs(analytic - fd) / scale)))
+            n_models += 1
+    report(5, f"{len(cases)} gradient forms x {n_models} models (4-3-2 and 4-3-0); "
+              f"worst relative deviation {worst:.2e}")
 
 
 @pytest.mark.slow

@@ -222,6 +222,14 @@ class TestSample:
                      "--out", str(tmp_path / "s"), "--height", "2", "--width", "2"]) == 2
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("flag", ["--height", "--width"])
+    def test_height_or_width_alone_exits_2(self, tmp_path, capsys, flag):
+        ckpt = bias_only_checkpoint(tmp_path / "m.udbm", [1.0] * 8)
+        assert main(["sample", "--checkpoint", ckpt, "--n", "1",
+                     "--out", str(tmp_path / "s"), flag, "1"]) == 2
+        assert "--height and --width" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         assert main(["sample", "--checkpoint", str(tmp_path / "none.udbm"), "--n", "1",
                      "--out", str(tmp_path / "s")]) == 2
@@ -304,6 +312,39 @@ class TestComplete:
                      "--mask-file", str(tmp_path / "mask.npy"), "--out", str(out)]) == 0
         got = np.load(out / "completed.npy")
         np.testing.assert_array_equal(got[0], [1, -1, 1, 1])
+
+    def test_spin_rows_file_is_loaded_once(self, tmp_path, monkeypatch):
+        ckpt = bias_only_checkpoint(tmp_path / "m.udbm", [3.0, -3.0])
+        np.save(tmp_path / "rows.npy", np.array([[1, 1]], dtype=np.int8))
+        np.save(tmp_path / "mask.npy", np.array([True, False]))
+        real, loaded = np.load, []
+
+        def load(path, *args, **kwargs):
+            loaded.append(str(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(np, "load", load)
+        assert main(["complete", "--checkpoint", ckpt, "--input", str(tmp_path / "rows.npy"),
+                     "--mask-file", str(tmp_path / "mask.npy"),
+                     "--out", str(tmp_path / "c")]) == 0
+        assert loaded.count(str(tmp_path / "rows.npy")) == 1
+
+    @pytest.mark.parametrize("fmt", ["npy", "idx"])
+    def test_mask_file_with_image_input_exits_2(self, tmp_path, capsys, fmt):
+        img = np.zeros((2, 2), dtype=np.uint8)
+        ckpt = self._image_checkpoint(tmp_path / "m.udbm", img)
+        if fmt == "npy":
+            path = tmp_path / "in.npy"
+            np.save(path, img[None, :, :])
+        else:
+            path = tmp_path / "in.idx"
+            path.write_bytes(struct.pack(">IIII", 0x00000803, 1, 2, 2) + img.tobytes())
+        np.save(tmp_path / "mask.npy", np.ones(32, dtype=bool))
+        out = tmp_path / "c"
+        assert main(["complete", "--checkpoint", ckpt, "--input", str(path),
+                     "--mask-file", str(tmp_path / "mask.npy"), "--out", str(out)]) == 2
+        assert "--mask-file is for spin-row inputs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_idx_input_exits_1(self, tmp_path, capsys):
         ckpt = bias_only_checkpoint(tmp_path / "m.udbm", [1.0] * 8)

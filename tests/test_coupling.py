@@ -3,11 +3,11 @@ import pytest
 
 from spindbm import (CoupledRun, CouplingTruncatedError, DbmParams, DbmShape,
                      DimensionError, HiddenState, JointState, coupling_time_stats, energy,
-                     gibbs_couple_joint, grad_energy, mh_couple_joint,
+                     gibbs_couple_joint, mh_couple_joint,
                      mh_couple_posterior, mh_coupled_trajectory, mh_step,
                      telescope_estimate, uniform_spins)
 from spindbm.model import grad_energy_vhh
-from spindbm.oracle import state_index
+from spindbm.oracle import spin_table, state_index
 from spindbm.search import gibbs_sweep_joint, local_search_joint
 from spindbm.training import init_params
 
@@ -206,14 +206,14 @@ class TestGibbsCoupling:
 
 class TestTelescope:
     def _grad(self, params):
-        return lambda s: grad_energy(params, s)
+        return lambda s: grad_energy_vhh(s.v, s.h1, s.h2)
 
     def test_tau_one_is_first_state(self, rng):
         params = random_params(DbmShape(2, 2, 1), seed=1)
         x0 = random_state(params.shape, rng)
         run = CoupledRun([x0, x0], [x0], tau=1)
         g = telescope_estimate(run, self._grad(params))
-        np.testing.assert_array_equal(g.vec, grad_energy(params, x0).vec)
+        np.testing.assert_array_equal(g.vec, self._grad(params)(x0).vec)
 
     def test_tau_two_adds_one_difference(self, rng):
         params = random_params(DbmShape(2, 2, 1), seed=1)
@@ -221,8 +221,8 @@ class TestTelescope:
         x2 = x1.copy()
         run = CoupledRun([x0, x1, x2], [x0, x2], tau=2)
         g = telescope_estimate(run, self._grad(params))
-        want = grad_energy(params, x0).vec + grad_energy(params, x1).vec \
-            - grad_energy(params, x0).vec
+        fn = self._grad(params)
+        want = fn(x0).vec + fn(x1).vec - fn(x0).vec
         np.testing.assert_allclose(g.vec, want, atol=1e-14)
 
     def test_truncated_run_raises(self, rng):
@@ -256,8 +256,9 @@ class TestMhStep:
         n = 200_000
         idx = rng.choice(len(dist.probabilities), size=n, p=dist.probabilities)
         counts = np.zeros(len(dist.probabilities))
+        table = spin_table(params.shape.total)
         for i in idx:
-            x = dist.state_at(int(i))
+            x = JointState(table[i, :2], table[i, 2:4], table[i, 4:])
             y = mh_step(params, x, rng)
             counts[state_index(y.concat())] += 1
         tv = 0.5 * np.abs(counts / n - dist.probabilities).sum()

@@ -7,16 +7,15 @@ import pytest
 from scipy.special import expit
 
 from spindbm import (CheckpointError, DbmParams, DbmShape, DimensionError,
-                     GradEstimate, JointState, energy, energy_even_marginal,
-                     energy_odd_marginal, energy_odd_posterior, grad_energy,
-                     grad_energy_even_marginal, grad_energy_odd_marginal,
-                     grad_energy_odd_posterior, load_params, local_fields_even,
-                     local_fields_odd, logcosh, save_params, uniform_spins)
+                     GradEstimate, JointState, energy, grad_energy_even_marginal,
+                     grad_energy_odd_marginal, grad_energy_odd_posterior, load_params,
+                     save_params, uniform_spins)
 from spindbm import model, oracle
-from spindbm.training import AdamOptimizer, SgdOptimizer, default_check_model, init_params
-from spindbm.model import grad_energy_vhh
+from spindbm.training import (AdamOptimizer, SgdOptimizer, default_check_model,
+                              gradient_from_states, init_params)
+from spindbm.model import grad_energy_vhh, h1_field, h2_field, v_field
 
-from conftest import random_params
+from conftest import enumerated_states, random_params, summed_out_energy
 
 
 def scalar_loop_energy(params, x):
@@ -143,18 +142,18 @@ class TestEnergyKernel:
 class TestLocalFields:
     def test_zero_params_give_half_probability(self, rng):
         params = DbmParams.zeros(DbmShape(3, 3, 2))
-        a_v, a_h2 = local_fields_even(params, uniform_spins(3, rng))
+        h1 = uniform_spins(3, rng)
+        a_v, a_h2 = v_field(params, h1), h2_field(params, h1)
         assert np.all(a_v == 0) and np.all(a_h2 == 0)
         assert np.all(expit(2 * a_v) == 0.5)
-        assert np.all(local_fields_odd(params, uniform_spins(3, rng),
-                                       uniform_spins(2, rng)) == 0)
+        assert np.all(h1_field(params, uniform_spins(3, rng), uniform_spins(2, rng)) == 0)
 
     def test_single_unit_conditional_matches_enumeration(self):
         # 1-1-1 model, W1 = 3: P(v=+1 | h1=+1) from the two-state normalization
         params = DbmParams(np.array([[3.0]]), np.array([[1.0]]),
                            np.zeros(1), np.zeros(1), np.zeros(1))
         h1 = np.array([1.0])
-        a_v, _ = local_fields_even(params, h1)
+        a_v = v_field(params, h1)
         assert a_v[0] == 3.0
         h2 = np.array([1.0])
         e_plus = energy(params, JointState(np.array([1.0]), h1, h2))
@@ -166,15 +165,15 @@ class TestLocalFields:
     def test_odd_field_cancellation(self):
         params = DbmParams(np.array([[1.0]]), np.array([[1.0]]),
                            np.zeros(1), np.zeros(1), np.zeros(1))
-        a = local_fields_odd(params, np.array([1.0]), np.array([-1.0]))
+        a = h1_field(params, np.array([1.0]), np.array([-1.0]))
         assert a[0] == 0.0
 
     def test_gibbs_consistency_exhaustive(self, params_332):
         # every unit's sigmoid(2 field) equals the exact conditional from energies
         shape = params_332.shape
         for x in all_states(shape):
-            a_v, a_h2 = local_fields_even(params_332, x.h1)
-            a_h1 = local_fields_odd(params_332, x.v, x.h2)
+            a_v, a_h2 = v_field(params_332, x.h1), h2_field(params_332, x.h1)
+            a_h1 = h1_field(params_332, x.v, x.h2)
             for layer, fields in (("v", a_v), ("h1", a_h1), ("h2", a_h2)):
                 vec = getattr(x, layer)
                 for i in range(len(vec)):
@@ -248,58 +247,11 @@ class TestFieldKernel:
             assert np.max(np.abs(batch - stacked), initial=0.0) <= 1e-12 * scale
 
 
-class TestMarginalEnergies:
-    def test_zero_params_zero(self, rng):
-        params = DbmParams.zeros(DbmShape(3, 3, 2))
-        assert energy_even_marginal(params, uniform_spins(3, rng), uniform_spins(2, rng)) == 0
-        assert energy_odd_marginal(params, uniform_spins(3, rng)) == 0
-        assert energy_odd_posterior(params, uniform_spins(3, rng), uniform_spins(3, rng)) == 0
-
-    def test_logcosh_stable_at_huge_fields(self):
-        assert np.isfinite(logcosh(1e4))
-        assert abs(logcosh(1e4) - (1e4 - np.log(2))) < 1e-12
-        params = DbmParams(np.full((1, 1), 1e4), np.zeros((1, 0)),
-                           np.zeros(1), np.zeros(1), np.zeros(0))
-        e = energy_even_marginal(params, np.array([1.0]), np.zeros(0))
-        assert np.isfinite(e)
-
-    def test_even_marginal_proportional_to_h1_sum(self, params_332, rng):
-        ratios = []
-        for _ in range(8):
-            v, h2 = uniform_spins(3, rng), uniform_spins(2, rng)
-            brute = sum(np.exp(-energy(params_332, JointState(v, np.array(b), h2)))
-                        for b in itertools.product([-1.0, 1.0], repeat=3))
-            ratios.append(np.exp(-energy_even_marginal(params_332, v, h2)) / brute)
-        ratios = np.array(ratios)
-        assert np.ptp(ratios) / np.mean(ratios) < 1e-10
-
-    def test_odd_marginal_proportional_to_even_sum(self, params_332, rng):
-        ratios = []
-        for _ in range(6):
-            h1 = uniform_spins(3, rng)
-            brute = sum(np.exp(-energy(params_332, JointState(np.array(bv), h1, np.array(bh2))))
-                        for bv in itertools.product([-1.0, 1.0], repeat=3)
-                        for bh2 in itertools.product([-1.0, 1.0], repeat=2))
-            ratios.append(np.exp(-energy_odd_marginal(params_332, h1)) / brute)
-        ratios = np.array(ratios)
-        assert np.ptp(ratios) / np.mean(ratios) < 1e-10
-
-    def test_odd_posterior_proportional_to_h2_sum(self, params_332, rng):
-        ratios = []
-        for _ in range(8):
-            v, h1 = uniform_spins(3, rng), uniform_spins(3, rng)
-            brute = sum(np.exp(-energy(params_332, JointState(v, h1, np.array(b))))
-                        for b in itertools.product([-1.0, 1.0], repeat=2))
-            ratios.append(np.exp(-energy_odd_posterior(params_332, v, h1)) / brute)
-        ratios = np.array(ratios)
-        assert np.ptp(ratios) / np.mean(ratios) < 1e-10
-
-
 class TestGradients:
     def test_all_plus_one_gives_minus_one_blocks(self):
         params = DbmParams.zeros(DbmShape(3, 3, 2))
         x = JointState(np.ones(3), np.ones(3), np.ones(2))
-        g = grad_energy(params, x)
+        g = grad_energy_vhh(x.v, x.h1, x.h2)
         assert np.all(g.dW1 == -1.0)
         assert np.all(g.dW2 == -1.0)
         assert np.all(g.db_v == -1.0)
@@ -324,10 +276,11 @@ class TestGradients:
             params = random_params(DbmShape(4, 3, 2), seed=seed)
             x = JointState(uniform_spins(4, rng), uniform_spins(3, rng), uniform_spins(2, rng))
             fd = central_diff(lambda p: energy(p, x), params)
-            np.testing.assert_allclose(grad_energy(params, x).as_vector(), fd,
+            np.testing.assert_allclose(grad_energy_vhh(x.v, x.h1, x.h2).as_vector(), fd,
                                        rtol=1e-6, atol=1e-6)
 
     def test_marginal_gradients_match_finite_differences(self, rng):
+        # references by brute-force sums over the summed-out block
         shape = DbmShape(4, 3, 2)
         for seed in range(20):
             params = random_params(shape, seed=seed)
@@ -336,50 +289,37 @@ class TestGradients:
             h2 = uniform_spins(2, rng)
             cases = [
                 (grad_energy_even_marginal(params, v, h2),
-                 lambda p: energy_even_marginal(p, v, h2)),
+                 lambda p: summed_out_energy(p, v=v, h2=h2)),
                 (grad_energy_odd_marginal(params, h1),
-                 lambda p: energy_odd_marginal(p, h1)),
+                 lambda p: summed_out_energy(p, h1=h1)),
                 (grad_energy_odd_posterior(params, v, h1),
-                 lambda p: energy_odd_posterior(p, v, h1)),
+                 lambda p: summed_out_energy(p, v=v, h1=h1)),
             ]
             for analytic, f in cases:
                 np.testing.assert_allclose(analytic.as_vector(), central_diff(f, params),
                                            rtol=1e-6, atol=1e-6)
 
     def test_marginalized_expectation_identity(self, params_332):
-        # half the even+odd marginal forms, averaged exactly, reproduce the
-        # plain log-likelihood gradient
+        # the marginalized estimator's rows, averaged exactly over the
+        # enumerated states, reproduce the plain log-likelihood gradient
         params = params_332
         v = np.array([1.0, -1.0, 1.0])
-        post = oracle.enumerate_posterior(params, v)
-        joint = oracle.enumerate_joint(params)
-
-        def pos_fn(h):
-            g = grad_energy_even_marginal(params, v, h.h2)
-            g.add_scaled(grad_energy_odd_posterior(params, v, h.h1), 1.0)
-            return g.scale(0.5)
-
-        def neg_fn(x):
-            g = grad_energy_even_marginal(params, x.v, x.h2)
-            g.add_scaled(grad_energy_odd_marginal(params, x.h1), 1.0)
-            return g.scale(0.5)
-
-        marg = oracle.expected_grad(joint, neg_fn)
-        marg.add_scaled(oracle.expected_grad(post, pos_fn), -1.0)
+        marg = gradient_from_states(params, "marginalized", *enumerated_states(params, v))
         exact = oracle.exact_grad_loglik(params, v)
         np.testing.assert_allclose(marg.as_vector(), exact.as_vector(), atol=1e-10)
 
 
 class TestGradEstimateArithmetic:
-    def test_add_neg_scale(self):
+    def test_add_scaled_scale_norm(self):
         shape = DbmShape(2, 2, 1)
         a = GradEstimate.zeros(shape)
         a.vec[:] = 1.0
-        b = 2.0 * a
-        assert np.all(b.vec == 2.0)
-        c = b - a
+        c = a.copy().scale(2.0)
+        assert np.all(c.vec == 2.0) and np.all(a.vec == 1.0)
+        assert c.add_scaled(a) is c
+        assert np.all(c.vec == 3.0)
+        c.add_scaled(a, -2.0)
         assert np.all(c.vec == 1.0)
-        assert np.all((-c).vec == -1.0)
         c.add_scaled(a, 3.0)
         assert np.all(c.vec == 4.0)
         assert c.norm() == pytest.approx(4.0 * np.sqrt(len(c.vec)))
@@ -600,8 +540,7 @@ class TestParamStorage:
         shape = DbmShape(4, 3, 2)
         x = JointState(uniform_spins(4, rng), uniform_spins(3, rng), uniform_spins(2, rng))
         g = grad_energy_vhh(x.v, x.h1, x.h2)
-        made = [g, GradEstimate.zeros(shape), g + g, g - g, -g, 2.0 * g, g.copy(),
-                GradEstimate(*g.arrays())]
+        made = [g, GradEstimate.zeros(shape), g.copy(), GradEstimate(*g.arrays())]
         for e in made:
             assert isinstance(e, GradEstimate) and e.sizes == (4, 3, 2)
             for a in (e.dW1, e.dW2, e.db_v, e.db_h1, e.db_h2):

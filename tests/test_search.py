@@ -469,8 +469,9 @@ class TestFieldHandover:
 
 class TestSpinDraw:
     def test_matches_expit_threshold(self):
-        # the numpy sigmoid against scipy's on fields from -400 to 400, with
-        # uniforms spread over [0, 1) and others just off each threshold
+        # the tanh threshold against scipy's sigmoid on fields from -400 to 400,
+        # with uniforms spread over [0, 1) and others just off each threshold,
+        # handed to _spins as sweep_uniforms draws them: 2u - 1 on [-1, 1)
         rng = np.random.default_rng(0)
         field = np.concatenate([np.linspace(-400.0, 400.0, 80_001),
                                 np.linspace(-20.0, 20.0, 80_001)])
@@ -479,5 +480,5 @@ class TestSpinDraw:
         for u in (rng.random(field.size), np.clip(near, 0.0, np.nextafter(1.0, 0.0))):
             keep = np.abs(u - p) > 1e-12
             assert keep.sum() > field.size // 2
-            assert np.array_equal(_spins(field[keep], u[keep]),
+            assert np.array_equal(_spins(field[keep], 2.0 * u[keep] - 1.0),
                                   np.where(u < p, 1.0, -1.0)[keep])

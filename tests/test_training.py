@@ -11,7 +11,7 @@ from spindbm import (DbmParams, DbmShape, DimensionError, GradEstimate, JointSta
 from spindbm import oracle, training
 from spindbm.model import uniform_spins
 from spindbm.search import block_minimize_joint, gibbs_sweep_joint
-from spindbm.training import (LOG_COLUMNS, AdamOptimizer, SgdOptimizer,
+from spindbm.training import (LOG_COLUMNS, AdamOptimizer, SgdOptimizer, gradient_from_states,
                               logistic_draws, random_semi_orthogonal, rng_for)
 
 from conftest import random_params
@@ -114,10 +114,9 @@ class TestPhaseEstimates:
         assert np.all(np.abs(mean[ok] - exact[ok]) <= 4.5 * se[ok])
 
     def test_marginalized_variance_not_larger(self, ortho_params_332):
-        # paired comparison on the same coupled runs
-        from spindbm.training import (joint_grad_fn, negative_phase_run,
-                                      positive_phase_run, posterior_grad_fn)
-        from spindbm import telescope_estimate
+        # paired comparison on the same coupled runs, as training builds it
+        from spindbm.training import (_joint_states, _posterior_states, negative_phase_run,
+                                      positive_phase_run)
         params = ortho_params_332
         v = np.array([1.0, -1.0, 1.0])
         rng = rng_for(99, 3)
@@ -127,10 +126,9 @@ class TestPhaseEstimates:
         for _ in range(n):
             prun, _ = positive_phase_run(params, v, 10_000, rng)
             nrun, _ = negative_phase_run(params, 10_000, rng)
+            posterior, joint = _posterior_states(v, prun, -1.0), _joint_states(nrun, 1.0)
             for key, est in (("plain", "plain"), ("marg", "marginalized")):
-                gp = telescope_estimate(prun, posterior_grad_fn(params, v, est))
-                gn = telescope_estimate(nrun, joint_grad_fn(params, est))
-                g = gn.add_scaled(gp, -1.0).vec
+                g = gradient_from_states(params, est, posterior, joint).vec
                 sums[key] = sums[key] + g
                 sqs[key] = sqs[key] + g * g
         var = {k: sqs[k] / n - (sums[k] / n) ** 2 for k in sums}
@@ -289,7 +287,6 @@ class TestBatchGradient:
         # telescoping coefficients sum to 1, so a run never cancels entirely;
         # K = 0 rows are checked at the kernel
         from spindbm.model import grad_from_rows
-        from spindbm.training import gradient_from_states
         params = random_params(DbmShape(4, 3, 2), seed=3)
         g = grad_from_rows(np.zeros((0, 4)), np.zeros((0, 3)), np.zeros((0, 2)), np.zeros(0))
         assert g.sizes == (4, 3, 2)
@@ -380,10 +377,10 @@ class TestPcd:
             _, chains, _ = pcd_step(params, [v], chains, cfg, rng)
             # reconstruct the pcd gradient estimate from a fresh call pattern:
             # positive mean-field part is deterministic, negative from chains
-            from spindbm.model import grad_energy_vhh
             mf = mean_field_posterior(params, v)
-            g = grad_energy_vhh(chains[0].v, chains[0].h1, chains[0].h2)
-            g.add_scaled(grad_energy_vhh(v, mf.mu_h1, mf.mu_h2), -1.0)
+            x = chains[0]
+            g = gradient_from_states(params, "plain", [(v, mf.mu_h1, mf.mu_h2, -1.0)],
+                                     [(x.v, x.h1, x.h2, 1.0)])
             acc += g.vec
             acc2 += g.vec ** 2
         mean = acc / n
@@ -691,7 +688,6 @@ class TestUnbiasednessReport:
         # classic biased baseline and must fail the z-test
         params = ortho_params_332
         v = np.array([1.0, -1.0, 1.0])
-        from spindbm.model import grad_energy_vhh
         from spindbm.training import positive_phase_estimate
         cfg = TrainConfig(shape=params.shape, estimator="plain")
 
@@ -700,7 +696,8 @@ class TestUnbiasednessReport:
             x = JointState(uniform_spins(3, rng), uniform_spins(3, rng),
                            uniform_spins(2, rng))
             x = gibbs_sweep_joint(p, x, rng)
-            return grad_energy_vhh(x.v, x.h1, x.h2).add_scaled(g_pos, -1.0)
+            g = gradient_from_states(p, "plain", [], [(x.v, x.h1, x.h2, 1.0)])
+            return g.add_scaled(g_pos, -1.0)
 
         rep = unbiasedness_report(params, v, 4000, seed=1, estimate_fn=biased)
         assert not rep["passed"]
