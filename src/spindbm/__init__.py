@@ -16,7 +16,7 @@ from .coupling import (CoupledRun, CouplingTruncatedError, coupling_time_stats,
                        mh_coupled_trajectory, mh_step, telescope_estimate,
                        telescope_terms)
 from .data import (BinaryDataset, Mask, binarize_u8, debinarize_u8,
-                   load_idx_images, lower_half_mask, rectangle_mask,
+                   load_idx_images, lower_half_mask, read_rows, rectangle_mask,
                    spins_to_images, synthetic_patterns, to_spin_dataset)
 from .model import (CheckpointError, DbmParams, DbmShape, DimensionError,
                     GradEstimate, HiddenState, JointState, energy,

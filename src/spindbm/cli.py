@@ -90,11 +90,7 @@ def load_training_data(spec: str, cfg: TrainConfig) -> np.ndarray:
         except ValueError as exc:
             raise ConfigError(f"bad synthetic spec {spec!r}: {exc}") from None
         return ds.spins()
-    _existing(spec, "data file")
-    if spec.endswith(".npy"):
-        return data_mod.load_spin_rows(spec)
-    images, _ = data_mod.load_idx_images(spec)
-    return data_mod.to_spin_dataset(images, source=spec).spins()
+    return data_mod.read_rows(_existing(spec, "data file"))[0]
 
 
 def cmd_train(args) -> int:
@@ -122,21 +118,26 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_geometry(height: int, width: int, n_v: int, source: str):
+    """The one image-geometry rule: height, width >= 1 and height*width*8 == n_v."""
+    if min(height, width) < 1 or height * width * 8 != n_v:
+        raise ConfigError(f"{source}: {height}x{width} images do not fit the model "
+                          f"(need height, width >= 1 and height*width*8 = n_v = {n_v})")
+
+
 def cmd_sample(args) -> int:
     if args.n < 1 or args.mh_steps < 0:
         raise ConfigError("--n must be >= 1 and --mh-steps >= 0")
-    if bool(args.height) != bool(args.width):
+    if (args.height is None) != (args.width is None):
         raise ConfigError("--height and --width must be given together")
     params = load_params(_existing(args.checkpoint, "checkpoint"))
-    images = bool(args.height and args.width)
-    if images and args.height * args.width * 8 != params.shape.n_v:
-        raise ConfigError("height*width*8 does not match the model's visible size")
-    draws = sample(params, args.n, args.mh_steps, rng=rng_for(args.seed, 10))
+    if args.height is not None:
+        _check_geometry(args.height, args.width, params.shape.n_v, "--height/--width")
+    draws = np.stack(sample(params, args.n, args.mh_steps, rng=rng_for(args.seed, 10)))
     os.makedirs(args.out, exist_ok=True)
-    np.save(os.path.join(args.out, "samples.npy"), np.stack(draws).astype(np.int8))
-    if images:
-        for i, v in enumerate(draws):
-            img = data_mod.spins_to_images(v, args.height, args.width)[0]
+    np.save(os.path.join(args.out, "samples.npy"), draws.astype(np.int8))
+    if args.height is not None:
+        for i, img in enumerate(data_mod.spins_to_images(draws, args.height, args.width)):
             data_mod.write_pgm(img, os.path.join(args.out, f"sample-{i:03d}.pgm"))
     print(f"wrote {len(draws)} samples to {args.out}")
     return 0
@@ -158,45 +159,34 @@ def _parse_mask_spec(spec: str, height: int, width: int) -> data_mod.Mask:
 
 
 def cmd_complete(args) -> int:
+    """Complete images under --mask (None: lower-half) or spin rows under --mask-file."""
     params = load_params(_existing(args.checkpoint, "checkpoint"))
-    rng = rng_for(args.seed, 11)
     n_v = params.shape.n_v
-    _existing(args.input, "input")
-
-    if args.input.endswith(".npy"):
-        loaded = np.load(args.input)
-        if loaded.dtype != np.uint8:
-            # raw spin rows with an explicit mask file
-            rows = data_mod.spin_rows(loaded, args.input)
-            if args.mask_file is None:
-                raise ConfigError("spin-row input needs --mask-file")
-            observed = np.load(_existing(args.mask_file, "mask file")).astype(bool)
-            if rows.shape[1] != n_v or observed.shape != (n_v,):
-                raise ConfigError("input/mask width does not match the model")
-            os.makedirs(args.out, exist_ok=True)
-            done = np.stack([complete_fn(params, row, observed, rng) for row in rows])
-            np.save(os.path.join(args.out, "completed.npy"), done.astype(np.int8))
-            print(f"completed {len(done)} rows to {args.out}")
-            return 0
-        images = loaded if loaded.ndim == 3 else loaded[None]
+    rows, geometry = data_mod.read_rows(_existing(args.input, "input"))
+    if geometry is None:
+        if args.mask is not None:
+            raise ConfigError("--mask is for image inputs; spin-row inputs take --mask-file")
+        if args.mask_file is None:
+            raise ConfigError("spin-row input needs --mask-file")
+        observed = np.load(_existing(args.mask_file, "mask file")).astype(bool)
+        if rows.shape[1] != n_v or observed.shape != (n_v,):
+            raise ConfigError("input/mask width does not match the model")
     else:
-        images, _ = data_mod.load_idx_images(args.input)
-    if args.mask_file is not None:
-        raise ConfigError("--mask-file is for spin-row inputs; image inputs take --mask")
-    h, w = images.shape[1:]
-    if h * w * 8 != n_v:
-        raise ConfigError(f"images are {h}x{w} but the model expects n_v={n_v}")
-    mask = _parse_mask_spec(args.mask, h, w)
+        if args.mask_file is not None:
+            raise ConfigError("--mask-file is for spin-row inputs; image inputs take --mask")
+        _check_geometry(*geometry, n_v, args.input)
+        observed = _parse_mask_spec(args.mask or "lower-half", *geometry).observed
+    rng = rng_for(args.seed, 11)
+    done = np.stack([complete_fn(params, row, observed, rng) for row in rows])
     os.makedirs(args.out, exist_ok=True)
-    ds = data_mod.to_spin_dataset(images)
-    completed = []
-    for row in ds.spins():
-        full = complete_fn(params, row, mask.observed, rng)
-        completed.append(data_mod.spins_to_images(full, h, w)[0])
-    for i, img in enumerate(completed):
-        data_mod.write_pgm(img, os.path.join(args.out, f"completed-{i:03d}.pgm"))
-    np.save(os.path.join(args.out, "completed.npy"), np.stack(completed))
-    print(f"completed {len(completed)} images to {args.out}")
+    if geometry is None:
+        np.save(os.path.join(args.out, "completed.npy"), done.astype(np.int8))
+    else:
+        images = data_mod.spins_to_images(done, *geometry)
+        for i, img in enumerate(images):
+            data_mod.write_pgm(img, os.path.join(args.out, f"completed-{i:03d}.pgm"))
+        np.save(os.path.join(args.out, "completed.npy"), images)
+    print(f"completed {len(done)} inputs to {args.out}")
     return 0
 
 
@@ -268,16 +258,17 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mh-steps", type=int, default=0)
     s.add_argument("--out", required=True)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--height", type=int, default=0)
-    s.add_argument("--width", type=int, default=0)
+    s.add_argument("--height", type=int, default=None)
+    s.add_argument("--width", type=int, default=None)
     s.set_defaults(func=cmd_sample)
 
     c = sub.add_parser("complete", help="fill in masked inputs with a checkpoint")
     c.add_argument("--checkpoint", required=True)
     c.add_argument("--input", required=True,
                    help="IDX file, .npy uint8 images, or .npy +-1 spin rows")
-    c.add_argument("--mask", default="lower-half",
-                   help="'lower-half' or 'rect:r0:r1:c0:c1' (pixel rows/cols masked out)")
+    c.add_argument("--mask", default=None,
+                   help="image inputs: 'lower-half' (the default) or 'rect:r0:r1:c0:c1' "
+                        "(pixel rows/cols masked out)")
     c.add_argument("--mask-file", default=None,
                    help=".npy boolean observed-mask for spin-row inputs")
     c.add_argument("--out", required=True)

@@ -171,12 +171,12 @@ def gibbs_couple_joint(params: DbmParams, x0: JointState, tau_max: int,
                        rng: np.random.Generator, keep_states: bool = True) -> CoupledRun:
     """Lag-1 coupled systematic-scan Gibbs chains from a shared start.
 
-    After x's solo sweep, each step is one block pass of both chains on
-    the same coin flip and the same uniforms, which couples every
-    coordinate's conditional Bernoulli pair maximally. The chains meet
-    only when every coordinate coincides, which takes a number of sweeps
-    that grows steeply with dimension; this is the baseline the MH coupler
-    is measured against.
+    After x's solo sweep, each step is one block pass over both chains
+    stacked as rows, on the same coin flip and the same uniforms, which
+    couples every coordinate's conditional Bernoulli pair maximally. The
+    chains meet only when every coordinate coincides, which takes a number
+    of sweeps that grows steeply with dimension; this is the baseline the
+    MH coupler is measured against.
     """
     if tau_max < 1:
         raise ValueError("tau_max must be >= 1")
@@ -188,11 +188,11 @@ def gibbs_couple_joint(params: DbmParams, x0: JointState, tau_max: int,
     xs, ys = [x0, x], [x0]
     t = 1
     met = x.equals(y)
+    pair = [np.stack(blocks) for blocks in ((x.v, y.v), (x.h1, y.h1), (x.h2, y.h2))]
     while not met and t < tau_max:
-        even_first = rng.random() < 0.5
-        u = sweep_uniforms(rng, even_first, *sizes)
-        x = JointState(*block_pass(params, x.v, x.h1, x.h2, even_first, u)[:3])
-        y = JointState(*block_pass(params, y.v, y.h1, y.h2, even_first, u)[:3])
+        even_first, u = sweep_uniforms(rng, *sizes)
+        pair = block_pass(params, *pair, even_first, u)[:3]
+        x, y = JointState(*(b[0] for b in pair)), JointState(*(b[1] for b in pair))
         t += 1
         if keep_states:
             xs.append(x)

@@ -192,15 +192,22 @@ def read_pgm(path) -> np.ndarray:
         return np.frombuffer(f.read(w * h), dtype=np.uint8).reshape(h, w).copy()
 
 
-def spin_rows(rows: np.ndarray, source) -> np.ndarray:
-    """+-1 rows (int8 or float; one row or a matrix) as float64; source names them in errors."""
-    if rows.ndim == 1:
-        rows = rows[None, :]
-    if not np.all(np.abs(rows) == 1):
-        raise ValueError(f"{source}: entries must be +-1")
-    return rows.astype(np.float64)
+def read_rows(path) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """The one reader of example files: (float64 +-1 rows, (height, width) or None).
 
-
-def load_spin_rows(path) -> np.ndarray:
-    """Load an .npy of +-1 rows (int8 or float) as float64."""
-    return spin_rows(np.load(path), path)
+    An IDX image file (.gz accepted) or an .npy of uint8 images (one
+    (height, width) image or a (count, height, width) stack) gives its
+    bit-plane spin rows and the image geometry. Any other .npy must hold
+    +-1 rows (int8 or float; one row or a matrix) and gives them with None.
+    """
+    path = str(path)
+    if not path.endswith(".npy"):
+        images = load_idx_images(path)[0]
+    else:
+        images = np.load(path)
+        if images.dtype != np.uint8:
+            rows = np.atleast_2d(images)
+            if rows.ndim != 2 or not np.all(np.abs(rows) == 1):
+                raise ValueError(f"{path}: spin rows must be a matrix of +-1 entries")
+            return rows.astype(np.float64), None
+    return to_spin_dataset(images, source=path).spins(), images.shape[-2:]

@@ -65,9 +65,8 @@ def _joint_energies(params: DbmParams, spins: np.ndarray) -> np.ndarray:
     H1 = spins[:, s.n_v:s.n_v + s.n_h1]
     H2 = spins[:, s.n_v + s.n_h1:]
     e = -np.einsum("ni,ni->n", V @ params.W1, H1)
-    if s.n_h2:
-        e -= np.einsum("nj,nj->n", H1 @ params.W2, H2)
-        e -= H2 @ params.b_h2
+    e -= np.einsum("nj,nj->n", H1 @ params.W2, H2)
+    e -= H2 @ params.b_h2
     e -= V @ params.b_v
     e -= H1 @ params.b_h1
     return e
@@ -97,78 +96,70 @@ def _check_cap(n_units: int, cap: int = MAX_TOTAL_UNITS):
         raise SizeCapError(f"{n_units} units exceed the enumeration cap of {cap}")
 
 
-def enumerate_joint(params: DbmParams) -> ExactDistribution:
-    """Exact Boltzmann distribution over all joint states."""
+def _row_chunks(params: DbmParams, v=None):
+    """The one enumeration: (lo, hi, rows) over every state, _CHUNK states at a time.
+
+    rows are the concatenated (v, h1, h2) spin rows of state indices
+    [lo, hi): of all units when v is None, else of the hidden units under
+    the clamped v.
+    """
     s = params.shape
-    _check_cap(s.total)
-    n = 1 << s.total
-    neg_e = np.empty(n)
+    n_units = s.total if v is None else s.n_h1 + s.n_h2
+    _check_cap(n_units)
+    n = 1 << n_units
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        neg_e[lo:hi] = -_joint_energies(params, spin_table(s.total, lo, hi))
+        rows = spin_table(n_units, lo, hi)
+        if v is not None:
+            rows = np.concatenate([np.broadcast_to(v, (hi - lo, s.n_v)), rows], axis=1)
+        yield lo, hi, rows
+
+
+def _enumerate(params: DbmParams, v=None) -> ExactDistribution:
+    """Exact distribution over all joint states, or over the hidden ones given v."""
+    neg_e = np.concatenate([-_joint_energies(params, rows)
+                            for _, _, rows in _row_chunks(params, v)])
     log_z = _logsumexp(neg_e)
-    return ExactDistribution(s, np.exp(neg_e - log_z), log_z)
+    return ExactDistribution(params.shape, np.exp(neg_e - log_z), log_z,
+                             v=None if v is None else v.copy())
+
+
+def enumerate_joint(params: DbmParams) -> ExactDistribution:
+    """Exact Boltzmann distribution over all joint states."""
+    return _enumerate(params)
 
 
 def enumerate_posterior(params: DbmParams, v: np.ndarray) -> ExactDistribution:
     """Exact posterior over (h1, h2) given a clamped visible vector."""
+    return _enumerate(params, np.asarray(v, dtype=np.float64))
+
+
+def _expected_grad_energy(params: DbmParams, v=None) -> GradEstimate:
+    """E[grad E] under the exact joint distribution (v None) or posterior given v."""
     s = params.shape
-    n_hid = s.n_h1 + s.n_h2
-    _check_cap(n_hid)
-    n = 1 << n_hid
-    neg_e = np.empty(n)
-    v = np.asarray(v, dtype=np.float64)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        hid = spin_table(n_hid, lo, hi)
-        full = np.concatenate([np.broadcast_to(v, (hi - lo, s.n_v)), hid], axis=1)
-        neg_e[lo:hi] = -_joint_energies(params, full)
-    log_z = _logsumexp(neg_e)
-    return ExactDistribution(s, np.exp(neg_e - log_z), log_z, v=v.copy())
-
-
-def _expected_grad_energy_rows(shape: DbmShape, probs: np.ndarray, make_rows) -> GradEstimate:
-    """Vectorized E[grad E] where make_rows(lo, hi) yields full spin rows."""
-    acc = GradEstimate.zeros(shape)
-    dw1, dw2 = acc.dW1, acc.dW2
-    dbv, dbh1, dbh2 = acc.db_v, acc.db_h1, acc.db_h2
-    for lo in range(0, len(probs), _CHUNK):
-        hi = min(lo + _CHUNK, len(probs))
-        rows = make_rows(lo, hi)
+    probs = _enumerate(params, v).probabilities
+    acc = GradEstimate.zeros(s)
+    for lo, hi, rows in _row_chunks(params, v):
         p = probs[lo:hi]
-        V = rows[:, :shape.n_v]
-        H1 = rows[:, shape.n_v:shape.n_v + shape.n_h1]
-        H2 = rows[:, shape.n_v + shape.n_h1:]
-        pv = V * p[:, None]
-        dw1 -= pv.T @ H1
-        dbv -= p @ V
-        dbh1 -= p @ H1
-        if shape.n_h2:
-            dw2 -= (H1 * p[:, None]).T @ H2
-            dbh2 -= p @ H2
+        V = rows[:, :s.n_v]
+        H1 = rows[:, s.n_v:s.n_v + s.n_h1]
+        H2 = rows[:, s.n_v + s.n_h1:]
+        acc.dW1 -= (V * p[:, None]).T @ H1
+        acc.db_v -= p @ V
+        acc.db_h1 -= p @ H1
+        acc.dW2 -= (H1 * p[:, None]).T @ H2
+        acc.db_h2 -= p @ H2
     return acc
 
 
 def exact_joint_grad_energy(params: DbmParams) -> GradEstimate:
     """E[grad energy] under the exact joint distribution."""
-    s = params.shape
-    dist = enumerate_joint(params)
-    return _expected_grad_energy_rows(s, dist.probabilities,
-                                      lambda lo, hi: spin_table(s.total, lo, hi))
+    return _expected_grad_energy(params)
 
 
 def exact_posterior_grad_energy(params: DbmParams, v: np.ndarray) -> GradEstimate:
     """E[grad energy(v, h)] under the exact posterior given v."""
-    s = params.shape
-    v = np.asarray(v, dtype=np.float64)
-    dist = enumerate_posterior(params, v)
-    n_hid = s.n_h1 + s.n_h2
-
-    def make_rows(lo, hi):
-        hid = spin_table(n_hid, lo, hi)
-        return np.concatenate([np.broadcast_to(v, (hi - lo, s.n_v)), hid], axis=1)
-
-    return _expected_grad_energy_rows(s, dist.probabilities, make_rows)
+    return _expected_grad_energy(params, np.asarray(v, dtype=np.float64))
 
 
 def exact_grad_loglik(params: DbmParams, v: np.ndarray) -> GradEstimate:

@@ -111,19 +111,24 @@ def block_pass(params: DbmParams, v, h1, h2, even_first: bool, uniforms=_THRESHO
     return v, h1, h2, (a_v, a_h1, a_h2)
 
 
-def sweep_uniforms(rng: np.random.Generator, even_first: bool, n_v: int, n_h1: int,
-                   n_h2: int):
-    """One Gibbs sweep's uniforms (u_v, u_h1, u_h2) on [-1, 1), drawn in block_pass's update order.
+def sweep_uniforms(rng: np.random.Generator, n_v: int, n_h1: int, n_h2: int):
+    """All of one Gibbs sweep's randomness: (even_first, (u_v, u_h1, u_h2)).
 
-    rng.uniform(-1.0, 1.0, n) is rng.random(n)'s stream scaled to 2u - 1.
-    n_v = 0 draws no u_v: the posterior sweep, where v is fixed.
+    The block-order coin comes first, then the uniforms on [-1, 1) in
+    block_pass's update order; rng.uniform(-1.0, 1.0, n) is rng.random(n)'s
+    stream scaled to 2u - 1. n_v = 0 draws no u_v: the posterior sweep,
+    where v is fixed.
     """
+    even_first = rng.random() < 0.5
     if even_first:
         u_v = rng.uniform(-1.0, 1.0, n_v) if n_v else None
         u_h2 = rng.uniform(-1.0, 1.0, n_h2)
-        return u_v, rng.uniform(-1.0, 1.0, n_h1), u_h2
-    u_h1 = rng.uniform(-1.0, 1.0, n_h1)
-    return (rng.uniform(-1.0, 1.0, n_v) if n_v else None), u_h1, rng.uniform(-1.0, 1.0, n_h2)
+        u_h1 = rng.uniform(-1.0, 1.0, n_h1)
+    else:
+        u_h1 = rng.uniform(-1.0, 1.0, n_h1)
+        u_v = rng.uniform(-1.0, 1.0, n_v) if n_v else None
+        u_h2 = rng.uniform(-1.0, 1.0, n_h2)
+    return even_first, (u_v, u_h1, u_h2)
 
 
 def block_minimize_joint(params: DbmParams, v, h1, h2, even_first: bool):
@@ -297,8 +302,7 @@ def gibbs_sweep_joint(params: DbmParams, x: JointState, rng: np.random.Generator
     first block, which saves computing its field.
     """
     check_joint(params, x.v, x.h1, x.h2)
-    even_first = rng.random() < 0.5
-    u = sweep_uniforms(rng, even_first, len(x.v), len(x.h1), len(x.h2))
+    even_first, u = sweep_uniforms(rng, len(x.v), len(x.h1), len(x.h2))
     return JointState(*block_pass(params, x.v, x.h1, x.h2, even_first, u, fields=fields)[:3])
 
 
@@ -308,7 +312,6 @@ def gibbs_sweep_posterior(params: DbmParams, v: np.ndarray, h: HiddenState,
     check_joint(params, v, h.h1, h.h2)
     if c is None:
         c = v_share(params, v)
-    even_first = rng.random() < 0.5
-    u = sweep_uniforms(rng, even_first, 0, len(h.h1), len(h.h2))
+    even_first, u = sweep_uniforms(rng, 0, len(h.h1), len(h.h2))
     _, h1, h2, _ = block_pass(params, v, h.h1, h.h2, even_first, u, c)
     return HiddenState(h1, h2)

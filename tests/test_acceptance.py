@@ -7,6 +7,7 @@ criteria dominate).
 """
 
 import itertools
+import os
 import time
 
 import numpy as np
@@ -25,6 +26,10 @@ from spindbm.training import (ESTIMATORS, TrainConfig, _joint_states, _posterior
                               positive_phase_run, rng_for)
 
 from conftest import enumerated_states, random_params, summed_out_energy
+
+
+# the sweeps' records do not depend on the worker count (test_threads_do_not_change_records)
+SWEEP_THREADS = min(2, os.cpu_count() or 1)
 
 
 def report(criterion, detail):
@@ -82,7 +87,7 @@ def test_criterion_01_coupling_time_concentration():
     dims = (25, 50, 100, 200)
     recs = run_coupling_sweep(dims=dims, replicates=1000,
                               arms=(BenchArm("mh", "local_mode"),), seed=20240,
-                              tau_max_mh=10_000)
+                              tau_max_mh=10_000, threads=SWEEP_THREADS)
     fracs = {}
     for d in dims:
         taus = np.array([r.tau for r in recs if r.dim == d])
@@ -98,7 +103,7 @@ def test_criterion_02_gibbs_coupling_blowup():
     tau_max = 5000
     recs = run_coupling_sweep(dims=(25, 200), replicates=200,
                               arms=(BenchArm("gibbs", "uniform"),), seed=77,
-                              tau_max_gibbs=tau_max)
+                              tau_max_gibbs=tau_max, threads=SWEEP_THREADS)
     means = {d: np.mean([r.total for r in recs if r.dim == d]) for d in (25, 200)}
     trunc = np.mean([r.truncated for r in recs if r.dim == 200])
     assert means[200] >= 10 * means[25], means

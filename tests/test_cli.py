@@ -8,12 +8,19 @@ from spindbm import DbmParams, DbmShape, TrainConfig, load_params, save_params
 from spindbm.cli import CONFIG_KEYS, build_train_config, main, parse_config_file
 from spindbm.data import read_pgm
 
+from conftest import random_params
 from test_bench import record_pool
+from test_data import idx_blob
 from test_training import nan_at_step_3
 
 
 def write_config(path, **kv):
     path.write_text("".join(f"{k} = {v}\n" for k, v in kv.items()), encoding="utf-8")
+    return str(path)
+
+
+def idx_file(path, images):
+    path.write_bytes(idx_blob(images))
     return str(path)
 
 
@@ -149,6 +156,24 @@ class TestTrain:
             == load_params(ckpt).as_vector().tolist()
 
 
+    def test_npy_images_train_like_idx(self, tmp_path):
+        images = np.random.default_rng(3).integers(0, 256, size=(3, 2, 1)).astype(np.uint8)
+        np.save(tmp_path / "imgs.npy", images)
+        sources = {"npy": str(tmp_path / "imgs.npy"),
+                   "idx": idx_file(tmp_path / "imgs.idx", images)}
+        for name, data in sources.items():
+            cfg = write_config(tmp_path / f"{name}.txt", n_v=16, n_h1=4, n_h2=3, steps=4,
+                               checkpoint_every=2, optimizer="adam", tau_max=100000,
+                               seed=5, data=data, out_dir=str(tmp_path / name))
+            assert main(["train", "--config", cfg]) == 0
+        ckpts = sorted(p.name for p in (tmp_path / "idx").glob("ckpt-*.udbm"))
+        assert ckpts == ["ckpt-000000.udbm", "ckpt-000002.udbm", "ckpt-000004.udbm"]
+        assert sorted(p.name for p in (tmp_path / "npy").glob("ckpt-*.udbm")) == ckpts
+        for name in ckpts:
+            assert (tmp_path / "npy" / name).read_bytes() == \
+                (tmp_path / "idx" / name).read_bytes()
+
+
 class TestConfigKeys:
     def test_every_field_round_trips_through_a_config_file(self, tmp_path):
         cfg = TrainConfig(DbmShape(5, 4, 3), learning_rate=0.25, optimizer="amsgrad",
@@ -220,6 +245,15 @@ class TestSample:
         ckpt = bias_only_checkpoint(tmp_path / "m.udbm", [1.0, -1.0])
         assert main(["sample", "--checkpoint", ckpt, "--n", "1",
                      "--out", str(tmp_path / "s"), "--height", "2", "--width", "2"]) == 2
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("size", ["-1", "0"])
+    def test_nonpositive_geometry_exits_2(self, tmp_path, capsys, size):
+        # (-1)(-1)8 equals n_v = 8, so only the >= 1 rule catches it
+        ckpt = bias_only_checkpoint(tmp_path / "m.udbm", [1.0] * 8)
+        assert main(["sample", "--checkpoint", ckpt, "--n", "1", "--out", str(tmp_path / "s"),
+                     "--height", size, "--width", size]) == 2
+        assert "--height/--width" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("flag", ["--height", "--width"])
@@ -337,14 +371,48 @@ class TestComplete:
             path = tmp_path / "in.npy"
             np.save(path, img[None, :, :])
         else:
-            path = tmp_path / "in.idx"
-            path.write_bytes(struct.pack(">IIII", 0x00000803, 1, 2, 2) + img.tobytes())
+            path = idx_file(tmp_path / "in.idx", img[None, :, :])
         np.save(tmp_path / "mask.npy", np.ones(32, dtype=bool))
         out = tmp_path / "c"
         assert main(["complete", "--checkpoint", ckpt, "--input", str(path),
                      "--mask-file", str(tmp_path / "mask.npy"), "--out", str(out)]) == 2
         assert "--mask-file is for spin-row inputs" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("mask", ["rect:0:1:0:1", "lower-half"])
+    def test_mask_with_spin_rows_exits_2(self, tmp_path, capsys, mask):
+        ckpt = bias_only_checkpoint(tmp_path / "m.udbm", [1.0] * 8)
+        np.save(tmp_path / "rows.npy", np.ones((2, 8), dtype=np.int8))
+        np.save(tmp_path / "mask.npy", np.ones(8, dtype=bool))
+        out = tmp_path / "c"
+        assert main(["complete", "--checkpoint", ckpt, "--input", str(tmp_path / "rows.npy"),
+                     "--mask", mask, "--mask-file", str(tmp_path / "mask.npy"),
+                     "--out", str(out)]) == 2
+        assert "--mask is for image inputs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mask", [[], ["--mask", "rect:1:2:0:2"]])
+    def test_npy_stack_and_idx_complete_identically(self, tmp_path, mask):
+        images = np.random.default_rng(4).integers(0, 256, size=(3, 2, 2)).astype(np.uint8)
+        params = random_params(DbmShape(32, 5, 3), seed=9)
+        ckpt = str(tmp_path / "m.udbm")
+        save_params(params, ckpt)
+        np.save(tmp_path / "imgs.npy", images)
+        inputs = {"npy": str(tmp_path / "imgs.npy"),
+                  "idx": idx_file(tmp_path / "imgs.idx", images)}
+        for name, path in inputs.items():
+            assert main(["complete", "--checkpoint", ckpt, "--input", path, *mask,
+                         "--out", str(tmp_path / name), "--seed", "2"]) == 0
+        names = sorted(p.name for p in (tmp_path / "idx").iterdir())
+        assert names == ["completed-000.pgm", "completed-001.pgm", "completed-002.pgm",
+                         "completed.npy"]
+        assert sorted(p.name for p in (tmp_path / "npy").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "npy" / name).read_bytes() == \
+                (tmp_path / "idx" / name).read_bytes()
+        done = np.load(tmp_path / "idx" / "completed.npy")
+        assert done.dtype == np.uint8 and done.shape == images.shape
+        np.testing.assert_array_equal(done[:, :1], images[:, :1])  # observed row kept
 
     def test_malformed_idx_input_exits_1(self, tmp_path, capsys):
         ckpt = bias_only_checkpoint(tmp_path / "m.udbm", [1.0] * 8)

@@ -7,7 +7,7 @@ import pytest
 from spindbm import (BinaryDataset, Mask, binarize_u8, debinarize_u8,
                      load_idx_images, lower_half_mask, rectangle_mask,
                      spins_to_images, synthetic_patterns, to_spin_dataset)
-from spindbm.data import IdxFormatError, read_pgm, write_pgm, load_spin_rows
+from spindbm.data import IdxFormatError, read_pgm, read_rows, write_pgm
 
 
 def idx_blob(images):
@@ -166,15 +166,43 @@ class TestPgm:
         assert blob.startswith(b"P5\n4 3\n255\n")
 
 
-class TestSpinRows:
-    def test_load_spin_rows(self, tmp_path):
-        rows = np.array([[1, -1, 1], [-1, -1, 1]], dtype=np.int8)
+class TestReadRows:
+    @pytest.mark.parametrize("dtype", [np.int8, np.float64])
+    def test_reads_spin_rows(self, tmp_path, dtype):
+        rows = np.array([[1, -1, 1], [-1, -1, 1]], dtype=dtype)
         np.save(tmp_path / "rows.npy", rows)
-        got = load_spin_rows(tmp_path / "rows.npy")
+        got, geometry = read_rows(tmp_path / "rows.npy")
+        assert geometry is None
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, rows.astype(np.float64))
 
-    def test_rejects_non_spin(self, tmp_path):
-        np.save(tmp_path / "bad.npy", np.array([[0.5, 1.0]]))
+    def test_one_spin_row_is_a_matrix(self, tmp_path):
+        np.save(tmp_path / "row.npy", np.array([1, -1], dtype=np.int8))
+        got, _ = read_rows(tmp_path / "row.npy")
+        np.testing.assert_array_equal(got, [[1.0, -1.0]])
+
+    @pytest.mark.parametrize("bad", [np.array([[0.5, 1.0]]), np.array([[1, 0, -1]]),
+                                     np.ones((2, 2, 2))])
+    def test_rejects_non_spin(self, tmp_path, bad):
+        np.save(tmp_path / "bad.npy", bad)
         with pytest.raises(ValueError):
-            load_spin_rows(tmp_path / "bad.npy")
+            read_rows(tmp_path / "bad.npy")
+
+    @pytest.mark.parametrize("fmt", ["idx", "idx.gz", "npy", "npy-one-image"])
+    def test_images_give_their_geometry(self, tmp_path, fmt):
+        images = np.arange(2 * 3 * 2, dtype=np.uint8).reshape(2, 3, 2) * 9
+        if fmt == "npy-one-image":
+            images = images[:1]
+            path = tmp_path / "img.npy"
+            np.save(path, images[0])
+        elif fmt == "npy":
+            path = tmp_path / "imgs.npy"
+            np.save(path, images)
+        else:
+            path = tmp_path / f"imgs.{fmt}"
+            with (gzip.open if fmt.endswith(".gz") else open)(path, "wb") as f:
+                f.write(idx_blob(images))
+        rows, geometry = read_rows(path)
+        assert geometry == (3, 2)
+        assert rows.dtype == np.float64
+        np.testing.assert_array_equal(rows, to_spin_dataset(images).spins())
