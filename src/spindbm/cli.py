@@ -101,6 +101,7 @@ def cmd_train(args) -> int:
     if not cfg.out_dir:
         raise ConfigError("no output directory configured (key 'out_dir' or --out-dir)")
     rows = load_training_data(cfg.data, cfg)
+    _check_some_rows(rows, cfg.data)
     if rows.shape[1] != cfg.shape.n_v:
         raise ConfigError(f"data width {rows.shape[1]} != n_v {cfg.shape.n_v}")
     initial = None
@@ -116,6 +117,12 @@ def cmd_train(args) -> int:
         print(f"last step: tau_pos={last.mean_tau_pos:.2f} tau_neg={last.mean_tau_neg:.2f} "
               f"grad_norm={last.grad_norm:.4g}")
     return 0
+
+
+def _check_some_rows(rows: np.ndarray, source: str):
+    """An example file with no rows asks for no work, which is a usage error."""
+    if len(rows) == 0:
+        raise ConfigError(f"{source}: no examples in the file")
 
 
 def _check_geometry(height: int, width: int, n_v: int, source: str):
@@ -163,6 +170,7 @@ def cmd_complete(args) -> int:
     params = load_params(_existing(args.checkpoint, "checkpoint"))
     n_v = params.shape.n_v
     rows, geometry = data_mod.read_rows(_existing(args.input, "input"))
+    _check_some_rows(rows, args.input)
     if geometry is None:
         if args.mask is not None:
             raise ConfigError("--mask is for image inputs; spin-row inputs take --mask-file")

@@ -77,12 +77,11 @@ def debinarize_u8(bits) -> int:
     return int(np.packbits(bits.astype(np.uint8))[0])
 
 
-def load_idx_images(path) -> tuple[np.ndarray, dict]:
-    """Parse an IDX image file (.gz accepted): returns (images, metadata).
+def load_idx_images(path) -> np.ndarray:
+    """Parse an IDX image file (.gz accepted) into (count, height, width) uint8 images.
 
-    images has shape (count, height, width) and dtype uint8. The file must
-    start with the big-endian magic 0x00000803 and contain exactly
-    count * height * width pixel bytes.
+    The file must start with the big-endian magic 0x00000803 and contain
+    exactly count * height * width pixel bytes.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rb") as f:
@@ -99,8 +98,7 @@ def load_idx_images(path) -> tuple[np.ndarray, dict]:
     if len(blob) - 16 != expected:
         raise IdxFormatError(f"{path}: trailing or missing pixel bytes")
     images = np.frombuffer(blob, dtype=np.uint8, offset=16).reshape(count, height, width)
-    return images.copy(), {"path": str(path), "count": count,
-                           "height": height, "width": width}
+    return images.copy()
 
 
 def to_spin_dataset(images: np.ndarray, source: str = "") -> BinaryDataset:
@@ -202,7 +200,7 @@ def read_rows(path) -> tuple[np.ndarray, tuple[int, int] | None]:
     """
     path = str(path)
     if not path.endswith(".npy"):
-        images = load_idx_images(path)[0]
+        images = load_idx_images(path)
     else:
         images = np.load(path)
         if images.dtype != np.uint8:

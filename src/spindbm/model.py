@@ -64,7 +64,8 @@ def param_layout(n_v: int, n_h1: int, n_h2: int, vec: np.ndarray | None = None):
     row-major), b_v, b_h1, b_h2 order, and the five arrays are views into it.
     Gradients, optimizer moments and the checkpoint body use the same order.
     vec=None allocates a zero vector; a vec of the wrong length raises
-    DimensionError.
+    DimensionError. A (K, length) vec holds K flat vectors as rows, and the
+    views then carry the leading K axis.
     """
     o1 = n_v * n_h1
     o2 = o1 + n_h1 * n_h2
@@ -72,11 +73,13 @@ def param_layout(n_v: int, n_h1: int, n_h2: int, vec: np.ndarray | None = None):
     o4 = o3 + n_h1
     if vec is None:
         vec = np.zeros(o4 + n_h2)
-    elif vec.shape != (o4 + n_h2,):
+    elif vec.shape[-1:] != (o4 + n_h2,):
         raise DimensionError(f"parameter vector of shape {vec.shape} does not fit "
                              f"({n_v}, {n_h1}, {n_h2}), which needs {o4 + n_h2} entries")
-    return (vec, vec[:o1].reshape(n_v, n_h1), vec[o1:o2].reshape(n_h1, n_h2),
-            vec[o2:o3], vec[o3:o4], vec[o4:])
+    lead = vec.shape[:-1]
+    return (vec, vec[..., :o1].reshape(*lead, n_v, n_h1),
+            vec[..., o1:o2].reshape(*lead, n_h1, n_h2), vec[..., o2:o3], vec[..., o3:o4],
+            vec[..., o4:])
 
 
 class DbmParams:
@@ -233,6 +236,25 @@ def grad_from_rows(V: np.ndarray, H1: np.ndarray, H2: np.ndarray, c: np.ndarray)
     return g
 
 
+def grad_rows(V: np.ndarray, H1: np.ndarray, H2: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """c_k * grad E(V_k, H1_k, H2_k) for each of K stacked rows: a (K, dim) array.
+
+    Row k is a flat gradient in param_layout order; grad_from_rows is the
+    sum of the rows. Rows may hold tanh-of-field expectations in place of
+    spins, as there.
+    """
+    nc = -np.asarray(c, dtype=np.float64)[:, None]
+    G = np.empty((len(nc), V.shape[1] * H1.shape[1] + H1.shape[1] * H2.shape[1]
+                  + V.shape[1] + H1.shape[1] + H2.shape[1]))
+    _, dW1, dW2, db_v, db_h1, db_h2 = param_layout(V.shape[1], H1.shape[1], H2.shape[1], G)
+    np.multiply(nc, V, out=db_v)
+    np.multiply(nc, H1, out=db_h1)
+    np.multiply(nc, H2, out=db_h2)
+    np.multiply(db_v[:, :, None], H1[:, None, :], out=dW1)
+    np.multiply(db_h1[:, :, None], H2[:, None, :], out=dW2)
+    return G
+
+
 _ONE = np.ones(1)
 
 
@@ -242,17 +264,18 @@ def _one_row(v_like: np.ndarray, h1_like: np.ndarray, h2_like: np.ndarray) -> Gr
 
 
 def check_visible(params: DbmParams, v):
-    """Raise DimensionError unless v has the model's visible size."""
-    if len(v) != params.W1.shape[0]:
+    """Raise DimensionError unless v (one state or stacked rows) has the model's visible size."""
+    if np.shape(v)[-1] != params.W1.shape[0]:
         raise DimensionError("v length does not match W1")
 
 
 def check_joint(params: DbmParams, v, h1, h2):
-    """Raise DimensionError unless (v, h1, h2) has the model's layer sizes."""
+    """Raise DimensionError unless (v, h1, h2), one state or stacked rows, has the
+    model's layer sizes."""
     n_v, n_h1, n_h2 = params.sizes
-    if len(v) != n_v or len(h1) != n_h1 or len(h2) != n_h2:
-        raise DimensionError(
-            f"state ({len(v)},{len(h1)},{len(h2)}) does not match model ({n_v},{n_h1},{n_h2})")
+    sizes = tuple(np.shape(a)[-1] for a in (v, h1, h2))
+    if sizes != (n_v, n_h1, n_h2):
+        raise DimensionError(f"state {sizes} does not match model ({n_v},{n_h1},{n_h2})")
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +327,16 @@ def energy_vhh(params: DbmParams, V, H1, H2, c=None) -> float | np.ndarray:
     """The one joint energy kernel: -h1'a_h1 - b_v'v - b_h2'h2, a_h1 = h1_field(V, H2, c).
 
     One state (1-D) gives a float; R states stacked as rows give an (R,)
-    array (a 1-D V is shared by every row). c = v_share(V), when given, is
+    array (a 1-D V is shared by every row), each row's entry bit for bit the
+    energy of that row as one state. c = v_share(V), when given, is
     v's hoisted share of the h1 field: a posterior chain is the joint chain
     at a clamped v. The MH couplers' acceptance energy.
     """
     a = h1_field(params, V, H2, c)
-    if H1.ndim == 1:
-        return -float(H1 @ a + params.b_v @ V + params.b_h2 @ H2)
-    return -(np.einsum("ij,ij->i", H1, a) + V @ params.b_v + H2 @ params.b_h2)
+    # one dot product per row, so a row gets the same bits as the 1-D state
+    e = -(np.matmul(H1[..., None, :], a[..., :, None])[..., 0, 0] + V @ params.b_v
+          + H2 @ params.b_h2)
+    return float(e) if H1.ndim == 1 else e
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,8 @@ from spindbm.data import synthetic_patterns
 from spindbm.model import energy_vhh
 from spindbm.oracle import state_index
 from spindbm.search import block_minimize_joint, gibbs_sweep_joint, local_search_joint
-from spindbm.training import (ESTIMATORS, TrainConfig, _joint_states, _posterior_states,
-                              gradient_from_states, negative_phase_run,
-                              positive_phase_run, rng_for)
+from spindbm.training import (DRAW_BLOCK, ESTIMATORS, TrainConfig, _draw_gradients,
+                              _example_block, gradient_from_states, rng_for)
 
 from conftest import enumerated_states, random_params, summed_out_energy
 
@@ -52,9 +51,11 @@ def estimator_moments(check_model):
     """One Monte Carlo pass shared by criteria 3 and 4.
 
     N paired draws of the plain and marginalized estimators on the same
-    coupled runs, each built as training builds it: gradient_from_states
-    over the runs' telescope_terms states. Returns componentwise means and
-    variances plus the exact gradient.
+    coupled runs, run as unbiasedness_report runs them: blocks of
+    DRAW_BLOCK row-stacked draws (_example_block), whose telescoping states
+    give each draw's gradient under both estimators (_draw_gradients, on
+    the _integrand_rows that gradient_from_states uses). Returns
+    componentwise means and variances plus the exact gradient.
     """
     params, v = check_model
     exact = oracle.exact_grad_loglik(params, v).as_vector()
@@ -63,14 +64,12 @@ def estimator_moments(check_model):
     dim = exact.size
     acc = {"plain": np.zeros(dim), "marginalized": np.zeros(dim)}
     acc2 = {"plain": np.zeros(dim), "marginalized": np.zeros(dim)}
-    for _ in range(n):
-        prun, _ = positive_phase_run(params, v, 100_000, rng)
-        nrun, _ = negative_phase_run(params, 100_000, rng)
-        posterior, joint = _posterior_states(v, prun, -1.0), _joint_states(nrun, 1.0)
+    for done in range(0, n, DRAW_BLOCK):
+        rows = _example_block(params, v, min(DRAW_BLOCK, n - done), 100_000, rng)
         for est in ESTIMATORS:
-            g = gradient_from_states(params, est, posterior, joint).vec
-            acc[est] += g
-            acc2[est] += g * g
+            g = _draw_gradients(params, est, rows)
+            acc[est] += g.sum(axis=0)
+            acc2[est] += np.einsum("ij,ij->j", g, g)
     out = {"n": n, "exact": exact}
     for est in ("plain", "marginalized"):
         mean = acc[est] / n

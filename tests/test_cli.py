@@ -174,6 +174,21 @@ class TestTrain:
                 (tmp_path / "idx" / name).read_bytes()
 
 
+    @pytest.mark.parametrize("fmt", ["npy", "idx"])
+    def test_empty_data_file_exits_2_and_writes_nothing(self, tmp_path, capsys, fmt):
+        if fmt == "npy":
+            path = tmp_path / "rows.npy"
+            np.save(path, np.zeros((0, 8), dtype=np.int8))
+        else:
+            path = idx_file(tmp_path / "rows.idx", np.zeros((0, 1, 1), dtype=np.uint8))
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.txt", n_v=8, n_h1=3, n_h2=2, steps=1,
+                           data=str(path), out_dir=str(out))
+        assert main(["train", "--config", cfg]) == 2
+        assert "no examples" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestConfigKeys:
     def test_every_field_round_trips_through_a_config_file(self, tmp_path):
         cfg = TrainConfig(DbmShape(5, 4, 3), learning_rate=0.25, optimizer="amsgrad",
@@ -391,6 +406,22 @@ class TestComplete:
         assert "--mask is for image inputs" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["spin-rows", "images"])
+    def test_input_without_rows_exits_2_and_writes_nothing(self, tmp_path, capsys, kind):
+        ckpt = bias_only_checkpoint(tmp_path / "m.udbm", [1.0] * 8)
+        flags = []
+        if kind == "spin-rows":
+            np.save(tmp_path / "in.npy", np.zeros((0, 8), dtype=np.int8))
+            np.save(tmp_path / "mask.npy", np.ones(8, dtype=bool))
+            flags = ["--mask-file", str(tmp_path / "mask.npy")]
+        else:
+            np.save(tmp_path / "in.npy", np.zeros((0, 1, 1), dtype=np.uint8))
+        out = tmp_path / "c"
+        assert main(["complete", "--checkpoint", ckpt, "--input", str(tmp_path / "in.npy"),
+                     *flags, "--out", str(out)]) == 2
+        assert "no examples" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mask", [[], ["--mask", "rect:1:2:0:2"]])
     def test_npy_stack_and_idx_complete_identically(self, tmp_path, mask):
         images = np.random.default_rng(4).integers(0, 256, size=(3, 2, 2)).astype(np.uint8)
@@ -484,6 +515,12 @@ class TestOracleCheck:
     def test_bad_tau_max_exits_2(self, capsys):
         assert main(["oracle-check", "--samples", "1000", "--tau-max", "0"]) == 2
         assert "--tau-max" in capsys.readouterr().err
+
+    def test_truncated_coupling_exits_1(self, capsys):
+        # tau_max = 1 truncates every coupling whose x chain accepts its first
+        # proposal; the report refuses to average such a draw
+        assert main(["oracle-check", "--samples", "1000", "--tau-max", "1"]) == 1
+        assert "truncated" in capsys.readouterr().err
 
     def test_passes_with_adequate_samples(self, capsys):
         assert main(["oracle-check", "--samples", "3000"]) == 0

@@ -42,16 +42,16 @@ class TestIdxLoader:
         images = np.arange(8, dtype=np.uint8).reshape(2, 2, 2) * 10
         path = tmp_path / "imgs.idx"
         path.write_bytes(idx_blob(images))
-        got, meta = load_idx_images(path)
+        got = load_idx_images(path)
         np.testing.assert_array_equal(got, images)
-        assert meta["count"] == 2 and meta["height"] == 2 and meta["width"] == 2
+        assert got.shape == (2, 2, 2) and got.dtype == np.uint8
 
     def test_gzip_transparent(self, tmp_path):
         images = np.full((1, 3, 2), 7, dtype=np.uint8)
         path = tmp_path / "imgs.idx.gz"
         with gzip.open(path, "wb") as f:
             f.write(idx_blob(images))
-        got, _ = load_idx_images(path)
+        got = load_idx_images(path)
         np.testing.assert_array_equal(got, images)
 
     def test_rejects_wrong_magic(self, tmp_path):

@@ -9,7 +9,8 @@ from spindbm import (DbmParams, DbmShape, DimensionError, GradEstimate, JointSta
                      negative_phase_estimate, pcd_step, positive_phase_estimate,
                      sample, train, train_step, unbiasedness_report)
 from spindbm import oracle, training
-from spindbm.model import uniform_spins
+from spindbm.coupling import CouplingTruncatedError
+from spindbm.model import grad_from_rows, uniform_spins
 from spindbm.search import block_minimize_joint, gibbs_sweep_joint
 from spindbm.training import (LOG_COLUMNS, AdamOptimizer, SgdOptimizer, gradient_from_states,
                               logistic_draws, random_semi_orthogonal, rng_for)
@@ -701,3 +702,59 @@ class TestUnbiasednessReport:
 
         rep = unbiasedness_report(params, v, 4000, seed=1, estimate_fn=biased)
         assert not rep["passed"]
+
+    def test_injected_estimator_is_called_once_per_draw(self, ortho_params_332):
+        v = np.array([1.0, -1.0, 1.0])
+        cfg = TrainConfig(shape=ortho_params_332.shape, estimator="plain")
+        calls = []
+
+        def counted(p, vv, rng):
+            calls.append(None)
+            g_pos, _, _ = positive_phase_estimate(p, vv, cfg, rng)
+            g_neg, _, _ = negative_phase_estimate(p, cfg, rng)
+            return g_neg.add_scaled(g_pos, -1.0)
+
+        unbiasedness_report(ortho_params_332, v, training.DRAW_BLOCK + 3, seed=2,
+                            estimate_fn=counted)
+        assert len(calls) == training.DRAW_BLOCK + 3
+
+    @pytest.mark.parametrize("estimator", training.ESTIMATORS)
+    def test_a_truncated_row_raises(self, estimator):
+        # tau_max = 1 truncates every coupling whose x chain accepts its first proposal
+        params, v = training.default_check_model()
+        with pytest.raises(CouplingTruncatedError):
+            unbiasedness_report(params, v, 200, seed=0, estimator=estimator, tau_max=1)
+
+    def test_blocks_are_a_function_of_seed_and_size(self):
+        params, v = training.default_check_model()
+        n = training.DRAW_BLOCK + 37  # one full block and a short one
+        a = unbiasedness_report(params, v, n, seed=4, estimator="marginalized")
+        b = unbiasedness_report(params, v, n, seed=4, estimator="marginalized")
+        assert np.array_equal(a["mean"], b["mean"]) and np.array_equal(a["se"], b["se"])
+        rows = [training._example_block(params, v, 300, 10_000, rng_for(4, 3))
+                for _ in range(2)]
+        assert all(np.array_equal(x, y) for x, y in zip(*rows))
+        other = training._example_block(params, v, 300, 10_000, rng_for(5, 3))
+        assert not all(np.array_equal(x, y) for x, y in zip(rows[0], other))
+
+    @pytest.mark.parametrize("estimator", training.ESTIMATORS)
+    def test_one_draw_block_is_the_one_state_draw(self, ortho_params_332, estimator):
+        # R = 1 draws what _example_states draws, so both give the same gradient
+        v = np.array([1.0, -1.0, 1.0])
+        for seed in range(30):
+            rows = training._example_block(ortho_params_332, v, 1, 10_000, rng_for(seed, 3))
+            pos, neg, _ = training._example_states(ortho_params_332, v, 10_000,
+                                                   rng_for(seed, 3))
+            g = gradient_from_states(ortho_params_332, estimator, pos, neg).vec
+            got = training._draw_gradients(ortho_params_332, estimator, rows)
+            assert got.shape == (1, g.size)
+            np.testing.assert_allclose(got[0], g, rtol=0, atol=1e-12)
+
+    def test_draw_gradients_sum_to_the_summed_kernel(self, ortho_params_332):
+        v = np.array([1.0, -1.0, 1.0])
+        rows = training._example_block(ortho_params_332, v, 500, 10_000, rng_for(8, 3))
+        for estimator in training.ESTIMATORS:
+            per_draw = training._draw_gradients(ortho_params_332, estimator, rows)
+            summed = grad_from_rows(*training._integrand_rows(
+                ortho_params_332, estimator, rows.V, rows.H1, rows.H2, rows.w, rows.n_pos))
+            np.testing.assert_allclose(per_draw.sum(axis=0), summed.vec, rtol=0, atol=1e-10)
