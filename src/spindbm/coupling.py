@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (DbmParams, DimensionError, GradEstimate, HiddenState, JointState,
-                    check_joint, check_visible, energy_vhh, is_spin, uniform_spins, v_share)
+                    check_joint, check_visible, energy_vhh, is_spin, keep_rows, random_rows,
+                    uniform_spins, v_share)
 from .search import block_pass, block_uniforms, gibbs_sweep_joint, sweep_uniforms
 
 DEFAULT_TAU_MAX_MH = 10_000
@@ -91,7 +92,8 @@ def _mh_chains(params: DbmParams, X0: np.ndarray, n_steps: int, rng: np.random.G
     c = model.v_share(V) hoisted out of the proposal loop (computed here
     unless given). Either way a chain is a concatenated spin vector of the
     free units, scored by model.energy_vhh. At step t every run still going
-    draws its own proposal row, then its own uniform, and both of its chains
+    draws its own proposal row, then its own uniform (from rng[r] when rng
+    holds one generator per run, see model.random_rows), and both of its chains
     accept with min(1, exp(E_current - E_proposal)) on that shared pair.
     x may move from t = 1 and y from t = 2, so y trails x by one step. A run
     stops at the first t with x_t = y_{t-1} (the chains then stay merged)
@@ -118,7 +120,7 @@ def _mh_chains(params: DbmParams, X0: np.ndarray, n_steps: int, rng: np.random.G
     while t < n_steps:
         P = uniform_spins(X.shape, rng)
         E_p = energy_vhh(params, P[:, :n_v] if joint else V, P[:, n_v:n_vh], P[:, n_vh:], c)
-        log_u = _log(rng.random(len(rows)))
+        log_u = _log(random_rows(rng, (len(rows),)))
         move = log_u < E_x - E_p
         if np.count_nonzero(move):
             X, E_x = np.where(move[:, None], P, X), np.where(move, E_p, E_x)
@@ -140,6 +142,7 @@ def _mh_chains(params: DbmParams, X0: np.ndarray, n_steps: int, rng: np.random.G
                 tau[rows[met]] = t
                 go = ~met
                 rows, X, Y, E_x, E_y = rows[go], X[go], Y[go], E_x[go], E_y[go]
+                rng = keep_rows(rng, go)
                 if not joint:
                     V, c = V[go], c[go]
     truncated = np.zeros(R, dtype=bool)
@@ -311,26 +314,28 @@ def telescope_terms(run: CoupledRun) -> list:
     return [(state, c) for state, c in coeffs.values() if c != 0]
 
 
-def telescope_rows(runs: RowRuns):
+def telescope_rows(runs: RowRuns, keep=None):
     """The telescoping sums of R runs as stacked rows: (states, coefficients, owners).
 
     As in telescope_terms, run r's sum f(x_0) + sum_{t=1}^{tau_r-1}
     [f(x_t) - f(y_{t-1})] collapses to one row per distinct state with its
     nonzero net coefficient, so each run's coefficients sum to 1; owners[k]
-    is the run of row k. A run with tau = 1 gives its start at coefficient
-    1. Runs that were truncated raise CouplingTruncatedError: no row of a
-    biased sum is returned.
+    is the run of row k, and the rows come in run order. A run with tau = 1
+    gives its start at coefficient 1. keep, an (R,) mask, limits the rows to
+    the runs it flags. A kept run that was truncated raises
+    CouplingTruncatedError: no row of a biased sum is returned.
     """
-    if runs.truncated.any():
+    kept = np.ones(len(runs.tau), dtype=bool) if keep is None else np.asarray(keep, dtype=bool)
+    if (runs.truncated & kept).any():
         raise CouplingTruncatedError("telescoping sum over a truncated run would be biased")
-    met_at_once = runs.tau == 1
+    met_at_once = (runs.tau == 1) & kept
     states, coefs = [runs.x0[met_at_once]], [np.ones(np.count_nonzero(met_at_once))]
     owners = [met_at_once.nonzero()[0]]
-    later = (~met_at_once).nonzero()[0]
+    later = (kept & ~met_at_once).nonzero()[0]
     if later.size:
         rows = np.concatenate([r for r, _, _ in runs.steps])
         t = np.repeat(np.arange(1, len(runs.steps) + 1), [len(r) for r, _, _ in runs.steps])
-        on = t < runs.tau[rows]  # x_t and y_{t-1} enter run r's sum for t < tau_r
+        on = (t < runs.tau[rows]) & kept[rows]  # x_t, y_{t-1} enter run r's sum for t < tau_r
         X = np.concatenate([X for _, X, _ in runs.steps])[on]
         Y = np.concatenate([Y for _, _, Y in runs.steps])[on]
         s, c, o = _distinct(np.concatenate([runs.x0[later], X, Y]),
@@ -339,7 +344,11 @@ def telescope_rows(runs: RowRuns):
         states.append(s)
         coefs.append(c)
         owners.append(o)
-    return np.concatenate(states), np.concatenate(coefs), np.concatenate(owners)
+    states, coefs, owners = (np.concatenate(a) for a in (states, coefs, owners))
+    if later.size and met_at_once.any():  # merge the tau = 1 rows in among the others
+        order = np.argsort(owners, kind="stable")
+        states, coefs, owners = states[order], coefs[order], owners[order]
+    return states, coefs, owners
 
 
 def _distinct(states, coefs, owners):

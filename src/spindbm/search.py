@@ -19,7 +19,10 @@ The engine is row-stacked: the *_rows functions take R independent states
 as (R, n) arrays. Each row keeps its own block order, its own flags for
 which fields it carries, and its own iteration count, and a row leaves
 the search once it reaches its fixed point. The one-state functions are
-the R = 1 case and draw the same numbers from rng as R = 1 rows do.
+the R = 1 case and draw the same numbers from rng as R = 1 rows do. rng
+is one generator, which draws each stage's numbers for all rows at once,
+or a sequence of one generator per row, from which row r draws exactly
+what a one-state call draws from it (model.random_rows).
 
 Sign convention: sgn(0) = +1 everywhere.
 """
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (DbmParams, HiddenState, JointState, check_joint, check_visible, h1_field,
-                    h2_field, is_spin, uniform_spins, v_field, v_share)
+                    h2_field, is_spin, random_rows, uniform_spins, v_field, v_share)
 
 
 class SearchDivergenceError(RuntimeError):
@@ -144,10 +147,11 @@ def sweep_uniforms(rng: np.random.Generator, n_rows: int, n_v: int, n_h1: int, n
     block_uniforms). rng.uniform(-1.0, 1.0, n) is rng.random(n)'s stream
     scaled to 2u - 1. n_v = 0 draws no u_v: the posterior sweep, where v is
     fixed. For one row this is one sweep's coin, then its uniforms in
-    block_pass's update order.
+    block_pass's update order. rng may be one generator per row
+    (model.random_rows).
     """
-    even_first = rng.random(n_rows) < 0.5
-    return even_first, rng.uniform(-1.0, 1.0, (n_rows, n_v + n_h1 + n_h2))
+    even_first = random_rows(rng, (n_rows,)) < 0.5
+    return even_first, random_rows(rng, (n_rows, n_v + n_h1 + n_h2), -1.0)
 
 
 def block_uniforms(U, even_first: bool, n_v: int, n_h1: int):
@@ -223,7 +227,7 @@ def _fixed_point(params: DbmParams, V, rng, trace=None, c=None, rows=None) -> Ro
     R = len(V)
     H1 = uniform_spins((R, n_h1), rng)
     H2 = uniform_spins((R, n_h2), rng)
-    even_first = rng.random(R) < 0.5
+    even_first = random_rows(rng, (R,)) < 0.5
     posterior = c is not None
     if trace is not None:
         trace.append(_state(V[0], H1[0], H2[0], posterior))
@@ -271,8 +275,14 @@ def _descend(params, V, H1, H2, even_first: bool, c, rows, idx, trace) -> list:
     few_h1, few_v, few_h2 = n_h1 // _COLUMN_SHARE, n_v // _ROW_SHARE, n_h2 // _ROW_SHARE
     cap = default_max_iterations(params)
     posterior = c is not None
+    # With no block able to take updates (every layer below its share, as at
+    # desk sizes), no field drifts, and one flag per block, "the other block
+    # moved in some row", stands in for the per-row flags: the fields of all
+    # rows are then recomputed, those of unmoved rows from the same units.
+    incremental = bool(few_h1 or few_h2 or (few_v and not posterior))
     R = len(H1)
     A_v = A_h1 = A_h2 = None
+    even_fresh = odd_fresh = False  # without incremental: the block's fields match every row
     even_ok = np.zeros(R, dtype=bool)  # the row's even fields match its odd block
     odd_ok = np.zeros(R, dtype=bool)
     even_drift = np.zeros(R, dtype=bool)  # the row's fields hold updates from flipped units
@@ -283,8 +293,11 @@ def _descend(params, V, H1, H2, even_first: bool, c, rows, idx, trace) -> list:
         moved = np.zeros(R, dtype=bool)
         for odd in ((False, True) if even_first else (True, False)):
             if odd:
-                n_ok = np.count_nonzero(odd_ok)
-                if n_ok == 0:
+                if not incremental:
+                    if not odd_fresh:
+                        A_h1 = h1_field(params, V, H2, c)
+                        odd_fresh = True
+                elif (n_ok := np.count_nonzero(odd_ok)) == 0:
                     A_h1 = h1_field(params, V, H2, c)
                     odd_ok[:] = True
                     if drifted:
@@ -296,7 +309,11 @@ def _descend(params, V, H1, H2, even_first: bool, c, rows, idx, trace) -> list:
                 new = _spins(A_h1, None)
                 flip = new != H1
                 n = np.count_nonzero(flip)
-                if n:
+                if n and not incremental:
+                    moved |= flip.any(axis=1)
+                    even_fresh = False
+                    H1 = new
+                elif n:
                     n = _row_counts(flip, n)
                     np.logical_or(moved, n, out=moved)
                     np.logical_and(even_ok, n <= few_h1, out=even_ok)
@@ -309,8 +326,12 @@ def _descend(params, V, H1, H2, even_first: bool, c, rows, idx, trace) -> list:
                         even_drift[r] = drifted = True
                     H1 = new
             else:
-                n_ok = np.count_nonzero(even_ok)
-                if n_ok == 0:
+                if not incremental:
+                    if not even_fresh:
+                        A_v = None if posterior else v_field(params, H1, rows)
+                        A_h2 = h2_field(params, H1)
+                        even_fresh = True
+                elif (n_ok := np.count_nonzero(even_ok)) == 0:
                     A_v = None if posterior else v_field(params, H1, rows)
                     A_h2 = h2_field(params, H1)
                     even_ok[:] = True
@@ -330,7 +351,13 @@ def _descend(params, V, H1, H2, even_first: bool, c, rows, idx, trace) -> list:
                     v_free = _spins(A_v, None)
                     flip_v = v_free != (V if rows is None else V[:, rows[0]])
                     n_v_flips = np.count_nonzero(flip_v)
-                if n_v_flips or n_h2_flips:
+                flipped = bool(n_v_flips or n_h2_flips)
+                if flipped and not incremental:
+                    moved |= flip_h2.any(axis=1)
+                    if not posterior:
+                        moved |= flip_v.any(axis=1)
+                    odd_fresh = False
+                elif flipped:
                     n_h2_flips = _row_counts(flip_h2, n_h2_flips)
                     few = n_h2_flips <= few_h2
                     if not posterior:
@@ -347,6 +374,7 @@ def _descend(params, V, H1, H2, even_first: bool, c, rows, idx, trace) -> list:
                             q = flip_h2[r].nonzero()[0]
                             A_h1[r] += W2[:, q] @ (2.0 * h2_new[r, q])
                         odd_drift[r] = drifted = True
+                if flipped:
                     if not posterior:
                         V = _set_free(V, v_free, rows)
                     H2 = h2_new
@@ -382,8 +410,9 @@ def _descend(params, V, H1, H2, even_first: bool, c, rows, idx, trace) -> list:
             idx, V, H1, H2 = idx[moved], V[moved], H1[moved], H2[moved]
             c = _pick(c, moved)
             A_v, A_h1, A_h2 = _pick(A_v, moved), A_h1[moved], A_h2[moved]
-            even_ok, odd_ok = even_ok[moved], odd_ok[moved]
-            even_drift, odd_drift = even_drift[moved], odd_drift[moved]
+            if incremental:
+                even_ok, odd_ok = even_ok[moved], odd_ok[moved]
+                even_drift, odd_drift = even_drift[moved], odd_drift[moved]
             R = len(H1)
     raise SearchDivergenceError(f"no fixed point within {cap} iterations")
 

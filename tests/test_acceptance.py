@@ -65,7 +65,8 @@ def estimator_moments(check_model):
     acc = {"plain": np.zeros(dim), "marginalized": np.zeros(dim)}
     acc2 = {"plain": np.zeros(dim), "marginalized": np.zeros(dim)}
     for done in range(0, n, DRAW_BLOCK):
-        rows = _example_block(params, v, min(DRAW_BLOCK, n - done), 100_000, rng)
+        rows = _example_block(params, np.broadcast_to(v, (min(DRAW_BLOCK, n - done), len(v))),
+                              100_000, rng)
         for est in ESTIMATORS:
             g = _draw_gradients(params, est, rows)
             acc[est] += g.sum(axis=0)

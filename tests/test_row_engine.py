@@ -3,6 +3,9 @@
 Row r of a block must be what the one-state entry point computes from row
 r's numbers, so most tests here replay one block's random numbers row by
 row through the one-state functions (Replay stands in for the generator).
+TestRowStreams gives each row its own generator instead, as training does:
+a block on R spawned generators must equal R one-state calls, each on its
+own copy of row r's generator.
 """
 
 import numpy as np
@@ -20,6 +23,8 @@ from spindbm.model import v_field, v_share
 from spindbm.search import (default_max_iterations, gibbs_sweep_joint_rows,
                             gibbs_sweep_posterior_rows, local_search_clamped_rows,
                             local_search_joint_rows, local_search_posterior_rows)
+from spindbm.training import (_example_block, _joint_states, _posterior_states,
+                              negative_phase_run, positive_phase_run)
 
 from conftest import random_params
 
@@ -264,3 +269,151 @@ class TestMhRows:
                 xs = [X[np.flatnonzero(rows == r)[0]] for rows, X, _ in runs.steps if r in rows]
                 assert len(xs) == one.tau
                 assert all(np.array_equal(a, b.concat()) for a, b in zip(xs, one.x_states[1:]))
+
+
+STREAM_SHAPES = (DbmShape(3, 3, 2), DbmShape(10, 8, 6), DbmShape(6, 5, 0))
+
+
+def _stream_models():
+    """Weak Gaussian weights (many tau > 1 runs) and orthogonal ones, per shape."""
+    for i, shape in enumerate(STREAM_SHAPES):
+        yield random_params(shape, seed=80 + i, scale=0.3)
+        yield init_params(shape, np.random.default_rng(90 + i))
+
+
+def _gens(seed, n):
+    """n spawned generators; each call gives fresh copies of the same streams."""
+    return np.random.default_rng(seed).spawn(n)
+
+
+def _same_streams_left(a, b):
+    """Both lists of generators were advanced by the same number of draws."""
+    return all(x.random() == y.random() for x, y in zip(a, b))
+
+
+def _rows_of_run(runs: RowRuns, r: int):
+    """Run r's x_1.., y_0.. rows of a block of runs, as arrays."""
+    at = [(np.flatnonzero(rows == r), X, Y) for rows, X, Y in runs.steps]
+    return ([X[i[0]] for i, X, _ in at if i.size], [Y[i[0]] for i, _, Y in at if i.size])
+
+
+class TestRowStreams:
+    @pytest.mark.parametrize("kind", ["joint", "posterior", "clamped"])
+    def test_search_rows_on_their_own_generators(self, kind):
+        for i, params in enumerate(_stream_models()):
+            s = params.shape
+            V = uniform_spins((R, s.n_v), np.random.default_rng(i))
+            observed = np.arange(s.n_v) < s.n_v // 2
+            gens = _gens(700 + i, R)
+            if kind == "joint":
+                block = local_search_joint_rows(params, R, gens)
+            elif kind == "posterior":
+                block = local_search_posterior_rows(params, V, gens)
+            else:
+                block = local_search_clamped_rows(params, V, observed, gens)
+            ones = _gens(700 + i, R)
+            for r, g in enumerate(ones):
+                if kind == "joint":
+                    one = local_search_joint(params, g)
+                elif kind == "posterior":
+                    one = local_search_posterior(params, V[r], g)
+                else:
+                    one = local_search_clamped(params, V[r], observed, g)
+                x = one.state
+                assert block.steps[r] == one.steps
+                assert np.array_equal(block.H1[r], x.h1) and np.array_equal(block.H2[r], x.h2)
+                assert np.array_equal(block.V[r], V[r] if kind == "posterior" else x.v)
+            assert _same_streams_left(gens, ones)
+
+    @pytest.mark.parametrize("with_fields", [False, True])
+    def test_sweep_rows_on_their_own_generators(self, with_fields):
+        for i, params in enumerate(_stream_models()):
+            found = local_search_joint_rows(params, R, np.random.default_rng(i))
+            fields = found.fields if with_fields else None
+            gens, post_gens = _gens(800 + i, R), _gens(900 + i, R)
+            joint = gibbs_sweep_joint_rows(params, found.V, found.H1, found.H2, gens,
+                                           fields=fields)
+            post = gibbs_sweep_posterior_rows(params, found.V, found.H1, found.H2, post_gens)
+            ones, post_ones = _gens(800 + i, R), _gens(900 + i, R)
+            for r in range(R):
+                x = JointState(found.V[r], found.H1[r], found.H2[r])
+                one = gibbs_sweep_joint(params, x, ones[r], fields=None if fields is None
+                                        else tuple(a[r] for a in fields))
+                assert _same_state(JointState(*(a[r] for a in joint)), one)
+                h = gibbs_sweep_posterior(params, x.v, HiddenState(x.h1, x.h2), post_ones[r])
+                assert _same_state(HiddenState(*(a[r] for a in post)), h)
+            assert _same_streams_left(gens, ones) and _same_streams_left(post_gens, post_ones)
+
+    @pytest.mark.parametrize("kind", ["joint", "posterior"])
+    @pytest.mark.parametrize("tau_max", [3, 10_000])
+    def test_mh_rows_on_their_own_generators(self, kind, tau_max):
+        long_runs = 0
+        for i, params in enumerate(_stream_models()):
+            s = params.shape
+            rng = np.random.default_rng(i)
+            V = uniform_spins((R, s.n_v), rng)
+            X0 = uniform_spins((R, s.total if kind == "joint" else s.n_h1 + s.n_h2), rng)
+            gens = _gens(1000 + i, R)
+            if kind == "joint":
+                runs = mh_couple_joint_rows(params, X0, tau_max, gens)
+            else:
+                runs = mh_couple_posterior_rows(params, V, X0, tau_max, gens)
+            ones = _gens(1000 + i, R)
+            for r, g in enumerate(ones):
+                if kind == "joint":
+                    one = mh_couple_joint(params, JointState(*np.split(
+                        X0[r], np.cumsum([s.n_v, s.n_h1]))), tau_max, g)
+                else:
+                    one = mh_couple_posterior(params, V[r], HiddenState(*np.split(
+                        X0[r], [s.n_h1])), tau_max, g)
+                assert (runs.tau[r], runs.truncated[r]) == (one.tau, one.truncated)
+                xs, ys = _rows_of_run(runs, r)
+                assert len(xs) == len(ys) == one.tau
+                assert all(np.array_equal(a, b.concat()) for a, b in zip(xs, one.x_states[1:]))
+                assert all(np.array_equal(a, b.concat()) for a, b in zip(ys, one.y_states))
+            assert _same_streams_left(gens, ones)
+            long_runs += np.count_nonzero(runs.tau > 1)
+        assert long_runs > 0
+
+    @pytest.mark.parametrize("tau_max", [2, 10_000])
+    def test_example_block_on_its_own_generators(self, tau_max):
+        # each row draws what positive_phase_run, then negative_phase_run draw
+        # on its generator; under drop_sample a truncated positive run ends the
+        # row's draws, and a truncated run leaves the row without states
+        seen = {"long": 0, "pos_cut": 0, "neg_cut": 0}
+        for i, params in enumerate(_stream_models()):
+            s = params.shape
+            V = uniform_spins((R, s.n_v), np.random.default_rng(i))
+            gens = _gens(1100 + i, R)
+            block = _example_block(params, V, tau_max, gens, "drop_sample")
+            ones = _gens(1100 + i, R)
+            for r, g in enumerate(ones):
+                prun, t_p = positive_phase_run(params, V[r], tau_max, g)
+                assert (block.tau[r, 0], block.steps[r, 0]) == (prun.tau, t_p)
+                assert block.truncated[r, 0] == prun.truncated
+                mine = block.owner == r
+                if prun.truncated:
+                    seen["pos_cut"] += 1
+                    assert (block.tau[r, 1], block.steps[r, 1], block.truncated[r, 1]) == (0, 0, False)
+                    assert not mine.any()
+                    continue
+                nrun, t_n = negative_phase_run(params, tau_max, g)
+                assert (block.tau[r, 1], block.steps[r, 1]) == (nrun.tau, t_n)
+                assert block.truncated[r, 1] == nrun.truncated
+                seen["long"] += (prun.tau > 1) + (nrun.tau > 1)
+                if nrun.truncated:
+                    seen["neg_cut"] += 1
+                    assert not mine.any()
+                    continue
+                rows = np.hstack([block.V, block.H1, block.H2])
+                pos = mine & (np.arange(len(mine)) < block.n_pos)
+                for sel, states in ((pos, _posterior_states(V[r], prun, -1.0)),
+                                    (mine & ~pos, _joint_states(nrun, 1.0))):
+                    want = {np.concatenate(st[:3]).tobytes(): st[3] for st in states}
+                    assert dict(zip((a.tobytes() for a in rows[sel]), block.w[sel])) == want
+            assert _same_streams_left(gens, ones)
+            assert np.all(np.diff(block.owner[:block.n_pos]) >= 0)  # example order
+            assert np.all(np.diff(block.owner[block.n_pos:]) >= 0)
+        assert seen["long"] > 0
+        if tau_max == 2:
+            assert seen["pos_cut"] > 0 and seen["neg_cut"] > 0

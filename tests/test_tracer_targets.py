@@ -32,7 +32,12 @@ def test_every_tracer_target_resolves():
 
 
 def _benchmark_calls():
-    """The library calls of perfbench's three workloads, at small sizes: their outputs."""
+    """The library calls of perfbench's three workloads, at small sizes, and the
+    one-state phase runs: their outputs.
+
+    train_step runs its batch through the row engine, so the phase runs are
+    what still reaches the wrapped posterior search and MH couplings.
+    """
     check_params, v = training.default_check_model()
     out = []
     for estimator in training.ESTIMATORS:
@@ -44,6 +49,10 @@ def _benchmark_calls():
                       estimator="marginalized", tau_max=100_000)
     stepped, _ = training.train_step(params, rows, cfg, training.rng_for(0, 1, 1))
     out.append(stepped.vec)
+    run, _ = training.positive_phase_run(params, rows[0], 100_000, np.random.default_rng(3))
+    out.append(run.x_states[0].concat())
+    run, _ = training.negative_phase_run(params, 100_000, np.random.default_rng(4))
+    out.append(run.x_states[0].concat())
     out.append(np.array(training.sample(params, 3, mh_steps=2,
                                         rng=np.random.default_rng(1))))
     out.append(training.complete(params, rows[0], np.arange(16) < 8,

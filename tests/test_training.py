@@ -284,6 +284,60 @@ class TestBatchGradient:
         _assert_rel_close(opt.grad, want)
 
     @pytest.mark.parametrize("estimator", ["plain", "marginalized"])
+    def test_drop_sample_leaves_truncated_positive_run_out(self, estimator):
+        # at tau_max = 1 some example's positive run truncates: that example
+        # runs no joint stage, and every other one draws what it draws alone
+        params = random_params(DbmShape(4, 3, 2), seed=3, scale=0.3)
+        cfg = TrainConfig(shape=params.shape, estimator=estimator, tau_max=1,
+                          truncation_policy="drop_sample")
+        for seed in range(100):
+            batch = _spin_batch(seed, 4, 4)
+            gens = rng_for(seed, 1).spawn(4)
+            rows = training._example_block(params, np.array(batch), 1, gens, "drop_sample")
+            cut = rows.truncated[:, 0]
+            if cut.any() and not rows.truncated.any(axis=1).all():
+                break
+        else:
+            pytest.fail("no batch with a truncated positive run and a kept example")
+        assert np.all(rows.tau[cut, 1] == 0) and np.all(rows.steps[cut, 1] == 0)
+        assert not np.isin(np.flatnonzero(cut), rows.owner).any()
+        for r, alone in enumerate(rng_for(seed, 1).spawn(4)):
+            prun, _ = training.positive_phase_run(params, batch[r], 1, alone)
+            assert prun.truncated == cut[r]
+            if not prun.truncated:
+                training.negative_phase_run(params, 1, alone)
+            assert gens[r].random() == alone.random()  # the same draws, and no more
+        opt = _Capture()
+        _, m = train_step(params, batch, cfg, rng_for(seed, 1), opt)
+        want, dropped, _, _ = _reference_batch_gradient(params, batch, cfg, rng_for(seed, 1))
+        assert m.dropped == dropped == np.count_nonzero(rows.truncated.any(axis=1))
+        _assert_rel_close(opt.grad, want)
+
+    @pytest.mark.parametrize("estimator", ["plain", "marginalized"])
+    def test_block_step_is_the_per_example_step_bit_for_bit(self, estimator):
+        # where every run meets at tau = 1, the block's gradient rows are the
+        # per-example runs' rows in the same order, so the step is the same to
+        # the last bit: the argument that keeps training fingerprints unchanged
+        from spindbm.training import (_joint_states, _posterior_states, negative_phase_run,
+                                      positive_phase_run)
+        params = init_params(DbmShape(64, 32, 16), np.random.default_rng(11))
+        cfg = TrainConfig(shape=params.shape, estimator=estimator, optimizer="adam",
+                          batch_size=4, learning_rate=1e-3)
+        for seed in range(5):
+            batch = _spin_batch(100 + seed, 4, 64)
+            got, _ = train_step(params, batch, cfg, rng_for(seed, 1), make_optimizer(cfg))
+            posterior, joint = [], []
+            for v, sub in zip(batch, rng_for(seed, 1).spawn(4)):
+                prun, _ = positive_phase_run(params, v, cfg.tau_max, sub)
+                nrun, _ = negative_phase_run(params, cfg.tau_max, sub)
+                assert prun.tau == nrun.tau == 1
+                posterior += _posterior_states(v, prun, -1.0)
+                joint += _joint_states(nrun, 1.0)
+            total = gradient_from_states(params, estimator, posterior, joint, 1.0 / len(batch))
+            want = make_optimizer(cfg).update(params, total)
+            assert np.array_equal(got.vec, want.vec)
+
+    @pytest.mark.parametrize("estimator", ["plain", "marginalized"])
     def test_no_rows_give_zero_gradient(self, estimator):
         # telescoping coefficients sum to 1, so a run never cancels entirely;
         # K = 0 rows are checked at the kernel
@@ -731,28 +785,33 @@ class TestUnbiasednessReport:
         a = unbiasedness_report(params, v, n, seed=4, estimator="marginalized")
         b = unbiasedness_report(params, v, n, seed=4, estimator="marginalized")
         assert np.array_equal(a["mean"], b["mean"]) and np.array_equal(a["se"], b["se"])
-        rows = [training._example_block(params, v, 300, 10_000, rng_for(4, 3))
-                for _ in range(2)]
+        V = np.broadcast_to(v, (300, len(v)))
+        rows = [training._example_block(params, V, 10_000, rng_for(4, 3)) for _ in range(2)]
         assert all(np.array_equal(x, y) for x, y in zip(*rows))
-        other = training._example_block(params, v, 300, 10_000, rng_for(5, 3))
+        other = training._example_block(params, V, 10_000, rng_for(5, 3))
         assert not all(np.array_equal(x, y) for x, y in zip(rows[0], other))
 
     @pytest.mark.parametrize("estimator", training.ESTIMATORS)
     def test_one_draw_block_is_the_one_state_draw(self, ortho_params_332, estimator):
-        # R = 1 draws what _example_states draws, so both give the same gradient
+        # R = 1 draws what positive_phase_run, then negative_phase_run draw
+        # on the same generator, so both give the same gradient
         v = np.array([1.0, -1.0, 1.0])
         for seed in range(30):
-            rows = training._example_block(ortho_params_332, v, 1, 10_000, rng_for(seed, 3))
-            pos, neg, _ = training._example_states(ortho_params_332, v, 10_000,
-                                                   rng_for(seed, 3))
-            g = gradient_from_states(ortho_params_332, estimator, pos, neg).vec
+            rows = training._example_block(ortho_params_332, v[None], 10_000, rng_for(seed, 3))
+            rng = rng_for(seed, 3)
+            prun, _ = training.positive_phase_run(ortho_params_332, v, 10_000, rng)
+            nrun, _ = training.negative_phase_run(ortho_params_332, 10_000, rng)
+            g = gradient_from_states(ortho_params_332, estimator,
+                                     training._posterior_states(v, prun, -1.0),
+                                     training._joint_states(nrun, 1.0)).vec
             got = training._draw_gradients(ortho_params_332, estimator, rows)
             assert got.shape == (1, g.size)
             np.testing.assert_allclose(got[0], g, rtol=0, atol=1e-12)
 
     def test_draw_gradients_sum_to_the_summed_kernel(self, ortho_params_332):
         v = np.array([1.0, -1.0, 1.0])
-        rows = training._example_block(ortho_params_332, v, 500, 10_000, rng_for(8, 3))
+        rows = training._example_block(ortho_params_332, np.broadcast_to(v, (500, 3)), 10_000,
+                                       rng_for(8, 3))
         for estimator in training.ESTIMATORS:
             per_draw = training._draw_gradients(ortho_params_332, estimator, rows)
             summed = grad_from_rows(*training._integrand_rows(
