@@ -315,34 +315,16 @@ def check_joint(params: DbmParams, v, h1, h2):
 # same layout. The row-vector products are the same BLAS calls on a 1-D
 # state as the W'x form, so a state gives the same bits either way.
 
-# One or two stacked rows are multiplied by a weight matrix too large for
-# the cache row by row, as matrix-vector products. With one BLAS thread at
-# 6272-500-500, a (1, 500) @ W1' GEMM took 1.6-1.8 ms against 1.2-1.3 ms
-# for the product of the 1-D row, and two rows 2.6-3.6 ms against
-# 2.2-2.6 ms; from three rows on one GEMM is as fast or faster (four rows:
-# 3.1-3.7 ms against 4.1-5.6 ms). Smaller matrices, W2 at 500 x 500 among
-# them, always take one GEMM.
-_ROW_BY_ROW = 2
-_LARGE = 1 << 18  # entries
-
-
-def _times(X, W):
-    """X @ W, with one or two rows of X against a large W taken row by row."""
-    if X.ndim == 2 and 0 < len(X) <= _ROW_BY_ROW and W.size >= _LARGE:
-        return (X[0] @ W)[None] if len(X) == 1 else np.stack([x @ W for x in X])
-    return X @ W
-
-
 def v_share(params: DbmParams, V: np.ndarray) -> np.ndarray:
     """v's share of the h1 field, V W1 + b_h1; hoisted while v is clamped."""
-    return _times(V, params.W1) + params.b_h1
+    return V @ params.W1 + params.b_h1
 
 
 def h1_field(params: DbmParams, V, H2: np.ndarray, c=None) -> np.ndarray:
     """Field of h1 given v and h2: V W1 + H2 W2' + b_h1, or c + H2 W2' with c = v_share(V)."""
     if c is None:
-        return _times(V, params.W1) + _times(H2, params.W2.T) + params.b_h1
-    return c + _times(H2, params.W2.T)
+        return V @ params.W1 + H2 @ params.W2.T + params.b_h1
+    return c + H2 @ params.W2.T
 
 
 def v_field(params: DbmParams, H1: np.ndarray, rows=None) -> np.ndarray:
@@ -351,13 +333,13 @@ def v_field(params: DbmParams, H1: np.ndarray, rows=None) -> np.ndarray:
     rows = (free, W1[free], b_v[free]) gives the field of the free units only.
     """
     if rows is None:
-        return _times(H1, params.W1.T) + params.b_v
-    return _times(H1, rows[1].T) + rows[2]
+        return H1 @ params.W1.T + params.b_v
+    return H1 @ rows[1].T + rows[2]
 
 
 def h2_field(params: DbmParams, H1: np.ndarray) -> np.ndarray:
     """Field of h2 given h1: H1 W2 + b_h2."""
-    return _times(H1, params.W2) + params.b_h2
+    return H1 @ params.W2 + params.b_h2
 
 
 # ---------------------------------------------------------------------------

@@ -275,14 +275,8 @@ def _descend(params, V, H1, H2, even_first: bool, c, rows, idx, trace) -> list:
     few_h1, few_v, few_h2 = n_h1 // _COLUMN_SHARE, n_v // _ROW_SHARE, n_h2 // _ROW_SHARE
     cap = default_max_iterations(params)
     posterior = c is not None
-    # With no block able to take updates (every layer below its share, as at
-    # desk sizes), no field drifts, and one flag per block, "the other block
-    # moved in some row", stands in for the per-row flags: the fields of all
-    # rows are then recomputed, those of unmoved rows from the same units.
-    incremental = bool(few_h1 or few_h2 or (few_v and not posterior))
     R = len(H1)
     A_v = A_h1 = A_h2 = None
-    even_fresh = odd_fresh = False  # without incremental: the block's fields match every row
     even_ok = np.zeros(R, dtype=bool)  # the row's even fields match its odd block
     odd_ok = np.zeros(R, dtype=bool)
     even_drift = np.zeros(R, dtype=bool)  # the row's fields hold updates from flipped units
@@ -293,11 +287,8 @@ def _descend(params, V, H1, H2, even_first: bool, c, rows, idx, trace) -> list:
         moved = np.zeros(R, dtype=bool)
         for odd in ((False, True) if even_first else (True, False)):
             if odd:
-                if not incremental:
-                    if not odd_fresh:
-                        A_h1 = h1_field(params, V, H2, c)
-                        odd_fresh = True
-                elif (n_ok := np.count_nonzero(odd_ok)) == 0:
+                n_ok = np.count_nonzero(odd_ok)
+                if n_ok == 0:
                     A_h1 = h1_field(params, V, H2, c)
                     odd_ok[:] = True
                     if drifted:
@@ -309,11 +300,7 @@ def _descend(params, V, H1, H2, even_first: bool, c, rows, idx, trace) -> list:
                 new = _spins(A_h1, None)
                 flip = new != H1
                 n = np.count_nonzero(flip)
-                if n and not incremental:
-                    moved |= flip.any(axis=1)
-                    even_fresh = False
-                    H1 = new
-                elif n:
+                if n:
                     n = _row_counts(flip, n)
                     np.logical_or(moved, n, out=moved)
                     np.logical_and(even_ok, n <= few_h1, out=even_ok)
@@ -326,12 +313,8 @@ def _descend(params, V, H1, H2, even_first: bool, c, rows, idx, trace) -> list:
                         even_drift[r] = drifted = True
                     H1 = new
             else:
-                if not incremental:
-                    if not even_fresh:
-                        A_v = None if posterior else v_field(params, H1, rows)
-                        A_h2 = h2_field(params, H1)
-                        even_fresh = True
-                elif (n_ok := np.count_nonzero(even_ok)) == 0:
+                n_ok = np.count_nonzero(even_ok)
+                if n_ok == 0:
                     A_v = None if posterior else v_field(params, H1, rows)
                     A_h2 = h2_field(params, H1)
                     even_ok[:] = True
@@ -351,13 +334,7 @@ def _descend(params, V, H1, H2, even_first: bool, c, rows, idx, trace) -> list:
                     v_free = _spins(A_v, None)
                     flip_v = v_free != (V if rows is None else V[:, rows[0]])
                     n_v_flips = np.count_nonzero(flip_v)
-                flipped = bool(n_v_flips or n_h2_flips)
-                if flipped and not incremental:
-                    moved |= flip_h2.any(axis=1)
-                    if not posterior:
-                        moved |= flip_v.any(axis=1)
-                    odd_fresh = False
-                elif flipped:
+                if n_v_flips or n_h2_flips:
                     n_h2_flips = _row_counts(flip_h2, n_h2_flips)
                     few = n_h2_flips <= few_h2
                     if not posterior:
@@ -374,7 +351,6 @@ def _descend(params, V, H1, H2, even_first: bool, c, rows, idx, trace) -> list:
                             q = flip_h2[r].nonzero()[0]
                             A_h1[r] += W2[:, q] @ (2.0 * h2_new[r, q])
                         odd_drift[r] = drifted = True
-                if flipped:
                     if not posterior:
                         V = _set_free(V, v_free, rows)
                     H2 = h2_new
@@ -410,9 +386,8 @@ def _descend(params, V, H1, H2, even_first: bool, c, rows, idx, trace) -> list:
             idx, V, H1, H2 = idx[moved], V[moved], H1[moved], H2[moved]
             c = _pick(c, moved)
             A_v, A_h1, A_h2 = _pick(A_v, moved), A_h1[moved], A_h2[moved]
-            if incremental:
-                even_ok, odd_ok = even_ok[moved], odd_ok[moved]
-                even_drift, odd_drift = even_drift[moved], odd_drift[moved]
+            even_ok, odd_ok = even_ok[moved], odd_ok[moved]
+            even_drift, odd_drift = even_drift[moved], odd_drift[moved]
             R = len(H1)
     raise SearchDivergenceError(f"no fixed point within {cap} iterations")
 

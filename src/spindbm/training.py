@@ -369,10 +369,7 @@ def _example_block(params: DbmParams, V: np.ndarray, tau_max: int, rng,
     s = params.shape
     n = len(V)
     drop = truncation_policy == "drop_sample"
-    if V.strides[0] == 0:  # one v broadcast to every row (oracle draws): one product
-        c = np.broadcast_to(v_share(params, V[0]), (n, s.n_h1))
-    else:
-        c = v_share(params, V)
+    c = v_share(params, V)
     tau = np.zeros((n, 2), dtype=np.int64)
     steps = np.zeros((n, 2), dtype=np.int64)
     truncated = np.zeros((n, 2), dtype=bool)
@@ -482,11 +479,6 @@ def train_step(params: DbmParams, batch, cfg: TrainConfig, rng: np.random.Genera
         total = grad_from_rows(*_integrand_rows(params, cfg.estimator, rows.V, rows.H1,
                                                 rows.H2, rows.w * (1.0 / n_kept), rows.n_pos))
         means = np.mean(np.hstack([rows.tau, rows.steps])[kept].astype(np.float64), axis=0)
-    # Free the block's rows before the optimizer allocates its model-sized
-    # vectors: with glibc's malloc, rows still live then raised a
-    # 6272-500-500 training run's peak resident memory by up to 26 MiB,
-    # although they hold well under 1 MiB.
-    del rows
     if total is None:
         new_params, grad_norm = params.copy(), 0.0
     else:
