@@ -18,6 +18,7 @@ All functions are pure; arrays are float64 throughout.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -198,6 +199,38 @@ def random_rows(rng, size, low: float = 0.0) -> np.ndarray:
             raise ValueError(f"{len(rng)} generators for {size[0]} rows")
         return np.array([random_rows(g, size[1:], low) for g in rng]).reshape(size)
     return rng.random(size) if low == 0.0 else rng.uniform(low, 1.0, size)
+
+
+class DrawnStream:
+    """A row's pre-drawn uniforms, handed out in order as a Generator would.
+
+    u is one row of rng.random((R, m)), which holds the m numbers that m
+    one-at-a-time draws from rng would give. .random(size) and
+    .uniform(low, high, size) return the next ones, bit for bit as rng's, so
+    a list of these works as random_rows' one generator per row. Drawing
+    past the end raises RuntimeError; left counts what is not drawn yet.
+    """
+
+    __slots__ = ("_u", "_at")
+
+    def __init__(self, u: np.ndarray):
+        self._u, self._at = u, 0
+
+    @property
+    def left(self) -> int:
+        return len(self._u) - self._at
+
+    def random(self, size=None):
+        shape = () if size is None else size
+        n = math.prod(shape) if isinstance(shape, tuple) else shape
+        if n > self.left:
+            raise RuntimeError(f"drawing {n} numbers from a stream with {self.left} left")
+        u = self._u[self._at:self._at + n]
+        self._at += n
+        return float(u[0]) if size is None else u.reshape(size)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return low + (high - low) * self.random(size)
 
 
 def keep_rows(rng, keep):

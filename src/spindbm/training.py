@@ -25,15 +25,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import oracle
-from .coupling import (DEFAULT_TAU_MAX_MH, CouplingTruncatedError,
+from .coupling import (DEFAULT_TAU_MAX_MH, CouplingTruncatedError, _mh_chains,
                        mh_couple_joint, mh_couple_joint_rows, mh_couple_posterior,
-                       mh_couple_posterior_rows, mh_step, telescope_rows, telescope_terms)
-from .model import (DbmParams, DbmShape, GradEstimate, JointState, check_visible,
+                       mh_couple_posterior_rows, telescope_rows, telescope_terms)
+from .model import (DbmParams, DbmShape, DrawnStream, GradEstimate, JointState, check_visible,
                     grad_from_rows, grad_rows, h1_field, h2_field, keep_rows, load_params,
                     save_params, uniform_spins, v_field, v_share)
 # Not called here; perfbench/tracer.py wraps these names in this module,
 # so they stay importable from it.
-from .coupling import telescope_estimate  # noqa: F401
+from .coupling import mh_step, telescope_estimate  # noqa: F401
 from .model import (grad_energy_even_marginal, grad_energy_odd_marginal,  # noqa: F401
                     grad_energy_odd_posterior, grad_energy_vhh)
 # The *_rows engine entry points carry no name perfbench/tracer.py wraps, so
@@ -563,15 +563,26 @@ def sample(params: DbmParams, n: int, mh_steps: int = 0, *, rng: np.random.Gener
 
     With mh_steps = 0 the local minimum itself is the sample; uniform
     proposals are rejected so often near a mode that the extra MH steps
-    rarely move the state anyway.
+    rarely move the state anyway. The n samples run as one row block. Each
+    draws a fixed count of numbers, total + 1 for its search and as many per
+    MH step, so one rng.random((n, m)) call holds row r's numbers in U[r],
+    exactly as n samples in turn (local_search_joint, then mh_step mh_steps
+    times) would draw them from rng. Row r draws from U[r] through a
+    model.DrawnStream; a row that draws more or fewer numbers raises.
     """
-    out = []
-    for _ in range(n):
-        x = local_search_joint(params, rng).state
-        for _ in range(mh_steps):
-            x = mh_step(params, x, rng)
-        out.append(x.v.copy())
-    return out
+    if n < 0 or mh_steps < 0:
+        raise ValueError(f"n = {n} and mh_steps = {mh_steps} must be >= 0")
+    if n == 0:
+        return []
+    m = (params.shape.total + 1) * (1 + mh_steps)
+    streams = [DrawnStream(u) for u in rng.random((n, m))]
+    found = local_search_joint_rows(params, n, streams)
+    X = np.hstack([found.V, found.H1, found.H2])
+    for _ in range(mh_steps):  # mh_step's move, on every row at once
+        X = _mh_chains(params, X, 1, streams, stop_at_meeting=False).steps[0][1]
+    if any(s.left for s in streams):
+        raise RuntimeError("a sample left numbers of its stream undrawn")
+    return list(X[:, :params.shape.n_v])
 
 
 def complete(params: DbmParams, v_observed: np.ndarray, observed: np.ndarray,
