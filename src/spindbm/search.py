@@ -16,9 +16,13 @@ at the fixed point, and the sweep that follows it sets its first block
 from them.
 
 The engine is row-stacked: the *_rows functions take R independent states
-as (R, n) arrays. Each row keeps its own block order, its own flags for
-which fields it carries, and its own iteration count, and a row leaves
-the search once it reaches its fixed point. The one-state functions are
+as (R, n) arrays. A search runs all its rows in one loop of half-passes,
+even, odd, even, and so on, in which each row keeps the phase of its own
+block order: the odd-first rows join at the first odd half-pass, so each
+half-pass sets the same block in every row and makes one product for all
+of them. Each row keeps its own flags for which fields it carries and its
+own iteration count, and leaves the search once it reaches its fixed
+point. The one-state functions are
 the R = 1 case and draw the same numbers from rng as R = 1 rows do. rng
 is one generator, which draws each stage's numbers for all rows at once,
 or a sequence of one generator per row, from which row r draws exactly
@@ -29,6 +33,7 @@ Sign convention: sgn(0) = +1 everywhere.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,9 +224,9 @@ def _fixed_point(params: DbmParams, V, rng, trace=None, c=None, rows=None) -> Ro
     """Threshold passes from (V, uniform H1, H2) until every row stops changing.
 
     The one local-search loop. It draws H1, H2 and the R block-order coins,
-    then runs the rows of each block order together (_descend). c and rows
-    are passed on to block_pass; c holds one row per state. trace, for one
-    row only, receives the state after every iteration.
+    then runs every row in one loop (_descend). c and rows are passed on to
+    block_pass; c holds one row per state. trace, for one row only, receives
+    the state after every iteration.
     """
     n_h1, n_h2 = params.W2.shape
     R = len(V)
@@ -231,12 +236,9 @@ def _fixed_point(params: DbmParams, V, rng, trace=None, c=None, rows=None) -> Ro
     posterior = c is not None
     if trace is not None:
         trace.append(_state(V[0], H1[0], H2[0], posterior))
-    done = []
-    for order, g in _groups(even_first):
-        done += _descend(params, V[g], H1[g], H2[g], order, _pick(c, g), rows,
-                         np.arange(R)[g], trace)
+    done = _descend(params, V, H1, H2, even_first, c, rows, trace)
     carry = not (posterior or rows is not None)
-    if len(done) == 1:  # every row stopped together, in order
+    if len(done) == 1:  # every row stopped together, so all in one order and in place
         _, it, V_, H1, H2, fields = done[0]
         return RowSearch(V if posterior else V_, H1, H2, np.full(R, it),
                          fields if carry else None)
@@ -253,18 +255,26 @@ def _fixed_point(params: DbmParams, V, rng, trace=None, c=None, rows=None) -> Ro
     return out
 
 
-def _descend(params, V, H1, H2, even_first: bool, c, rows, idx, trace) -> list:
-    """Threshold passes over rows that share one block order.
+def _descend(params, V, H1, H2, even_first: np.ndarray, c, rows, trace) -> list:
+    """Threshold half-passes over a block of rows in both block orders.
 
-    Each row's fields are kept across passes and updated from the units
-    that flipped in it. Such updates round differently from a fresh sum, so
-    a pass that flips nothing in a row ends its search only once the exact
-    block_pass also leaves it unchanged; that check is skipped when every
-    field of the row was computed in full. So each result row is a fixed
-    point of block_pass, and its fields are fresh: computed in full, or by
-    the confirming pass. A row that stops changing leaves the loop. Returns
-    the rows in the groups that stopped together: (idx, iterations, V, H1,
-    H2, (A_v, A_h1, A_h2)), idx mapping them to the caller's rows.
+    One loop of half-passes, even, odd, even, and so on. The even-first rows
+    take every one; the odd-first rows join at the first odd half-pass. A
+    row's iteration is two half-passes in its own block order, so the
+    even-first rows end theirs after odd half-passes and the odd-first rows
+    after even ones, each row with its own moved flag and iteration count.
+    Each half-pass computes its block's fields with one product over all
+    the rows that need them in full. Each row's fields are kept across
+    half-passes and updated from the units that flipped in it. Such updates
+    round differently from a fresh sum, so an iteration that flips nothing
+    in a row ends its search only once the exact block_pass in its order
+    also leaves it unchanged; that check is skipped when every field of the
+    row was computed in full, and it is one block_pass over the rows that
+    need it. So each result row is a fixed point of block_pass, and its
+    fields are fresh: computed in full, or by the confirming pass. A row
+    that stops changing leaves the loop. Returns the rows in the groups that
+    stopped together: (idx, iterations, V, H1, H2, (A_v, A_h1, A_h2)), idx
+    mapping them to the caller's rows.
     """
     W1_free = params.W1 if rows is None else rows[1]
     W2 = params.W2
@@ -276,88 +286,120 @@ def _descend(params, V, H1, H2, even_first: bool, c, rows, idx, trace) -> list:
     cap = default_max_iterations(params)
     posterior = c is not None
     R = len(H1)
+    idx = np.arange(R)
+    n_even = int(np.count_nonzero(even_first))  # the even-first rows are rows :n_even
     A_v = A_h1 = A_h2 = None
     even_ok = np.zeros(R, dtype=bool)  # the row's even fields match its odd block
     odd_ok = np.zeros(R, dtype=bool)
     even_drift = np.zeros(R, dtype=bool)  # the row's fields hold updates from flipped units
     odd_drift = np.zeros(R, dtype=bool)
     drifted = False  # some row's fields were ever updated
+    moved = np.zeros(R, dtype=bool)  # the row flipped a unit in its current iteration
+    start = 0 if n_even else 1
+    if 0 < n_even < R:
+        # both orders: sort the even-first rows first, and give them alone
+        # the first, even half-pass (no row carries fields yet)
+        idx = np.argsort(~even_first, kind="stable")
+        V, H1, H2, c = V[idx], H1[idx], H2[idx], _pick(c, idx)
+        E = slice(0, n_even)
+        A_h2 = np.empty_like(H2)
+        A_h2[E] = h2_field(params, H1[E])
+        h2_new = _spins(A_h2[E], None)
+        moved[E] = (h2_new != H2[E]).any(axis=1)
+        H2[E] = h2_new
+        if not posterior:
+            a_v = v_field(params, H1[E], rows)
+            v_free = _spins(a_v, None)
+            moved[E] |= (v_free != (V[E] if rows is None else V[E, rows[0]])).any(axis=1)
+            V[E] = _set_free(V[E], v_free, rows)
+            A_v = np.empty((R, a_v.shape[1]))
+            A_v[E] = a_v
+        even_ok[E] = True
+        start = 1
     done = []
-    for it in range(1, cap + 1):
-        moved = np.zeros(R, dtype=bool)
-        for odd in ((False, True) if even_first else (True, False)):
-            if odd:
-                n_ok = np.count_nonzero(odd_ok)
-                if n_ok == 0:
-                    A_h1 = h1_field(params, V, H2, c)
-                    odd_ok[:] = True
-                    if drifted:
-                        odd_drift[:] = False
-                elif n_ok < R:
-                    J = (~odd_ok).nonzero()[0]
-                    A_h1[J] = h1_field(params, V[J], H2[J], _pick(c, J))
-                    odd_ok[J], odd_drift[J] = True, False
-                new = _spins(A_h1, None)
-                flip = new != H1
-                n = np.count_nonzero(flip)
-                if n:
-                    n = _row_counts(flip, n)
-                    np.logical_or(moved, n, out=moved)
-                    np.logical_and(even_ok, n <= few_h1, out=even_ok)
-                    for r in (n.astype(bool) & even_ok).nonzero()[0] if few_h1 else ():
-                        t = flip[r].nonzero()[0]
-                        d = 2.0 * new[r, t]
-                        if not posterior:
-                            A_v[r] += W1_free[:, t] @ d
-                        A_h2[r] += d @ W2[t]
-                        even_drift[r] = drifted = True
-                    H1 = new
-            else:
-                n_ok = np.count_nonzero(even_ok)
-                if n_ok == 0:
-                    A_v = None if posterior else v_field(params, H1, rows)
-                    A_h2 = h2_field(params, H1)
-                    even_ok[:] = True
-                    if drifted:
-                        even_drift[:] = False
-                elif n_ok < R:
-                    J = (~even_ok).nonzero()[0]
+    for k in itertools.count(start):
+        odd = k % 2 == 1
+        if odd:
+            n_ok = np.count_nonzero(odd_ok)
+            if n_ok == 0:
+                A_h1 = h1_field(params, V, H2, c)
+                odd_ok[:] = True
+                if drifted:
+                    odd_drift[:] = False
+            elif n_ok < R:
+                J = (~odd_ok).nonzero()[0]
+                A_h1[J] = h1_field(params, V[J], H2[J], _pick(c, J))
+                odd_ok[J], odd_drift[J] = True, False
+            new = _spins(A_h1, None)
+            flip = new != H1
+            n = np.count_nonzero(flip)
+            if n:
+                n = _row_counts(flip, n)
+                np.logical_or(moved, n, out=moved)
+                np.logical_and(even_ok, n <= few_h1, out=even_ok)
+                for r in (n.astype(bool) & even_ok).nonzero()[0] if few_h1 else ():
+                    t = flip[r].nonzero()[0]
+                    d = 2.0 * new[r, t]
                     if not posterior:
-                        A_v[J] = v_field(params, H1[J], rows)
-                    A_h2[J] = h2_field(params, H1[J])
-                    even_ok[J], even_drift[J] = True, False
-                h2_new = _spins(A_h2, None)
-                flip_h2 = h2_new != H2
-                n_h2_flips = np.count_nonzero(flip_h2)
-                n_v_flips = 0
+                        A_v[r] += W1_free[:, t] @ d
+                    A_h2[r] += d @ W2[t]
+                    even_drift[r] = drifted = True
+                H1 = new
+        else:
+            n_ok = np.count_nonzero(even_ok)
+            if n_ok == 0:
+                A_v = None if posterior else v_field(params, H1, rows)
+                A_h2 = h2_field(params, H1)
+                even_ok[:] = True
+                if drifted:
+                    even_drift[:] = False
+            elif n_ok < R:
+                J = (~even_ok).nonzero()[0]
                 if not posterior:
-                    v_free = _spins(A_v, None)
-                    flip_v = v_free != (V if rows is None else V[:, rows[0]])
-                    n_v_flips = np.count_nonzero(flip_v)
-                if n_v_flips or n_h2_flips:
-                    n_h2_flips = _row_counts(flip_h2, n_h2_flips)
-                    few = n_h2_flips <= few_h2
-                    if not posterior:
-                        n_v_flips = _row_counts(flip_v, n_v_flips)
-                        few &= n_v_flips <= few_v
-                    row_moved = np.logical_or(n_v_flips, n_h2_flips)
-                    moved |= row_moved
-                    odd_ok &= few
-                    for r in (row_moved & odd_ok).nonzero()[0] if few_v or few_h2 else ():
-                        if not posterior and n_v_flips[r]:
-                            s = flip_v[r].nonzero()[0]
-                            A_h1[r] += (2.0 * v_free[r, s]) @ W1_free[s]
-                        if n_h2_flips[r]:
-                            q = flip_h2[r].nonzero()[0]
-                            A_h1[r] += W2[:, q] @ (2.0 * h2_new[r, q])
-                        odd_drift[r] = drifted = True
-                    if not posterior:
-                        V = _set_free(V, v_free, rows)
-                    H2 = h2_new
+                    A_v[J] = v_field(params, H1[J], rows)
+                A_h2[J] = h2_field(params, H1[J])
+                even_ok[J], even_drift[J] = True, False
+            h2_new = _spins(A_h2, None)
+            flip_h2 = h2_new != H2
+            n_h2_flips = np.count_nonzero(flip_h2)
+            n_v_flips = 0
+            if not posterior:
+                v_free = _spins(A_v, None)
+                flip_v = v_free != (V if rows is None else V[:, rows[0]])
+                n_v_flips = np.count_nonzero(flip_v)
+            if n_v_flips or n_h2_flips:
+                n_h2_flips = _row_counts(flip_h2, n_h2_flips)
+                few = n_h2_flips <= few_h2
+                if not posterior:
+                    n_v_flips = _row_counts(flip_v, n_v_flips)
+                    few &= n_v_flips <= few_v
+                row_moved = np.logical_or(n_v_flips, n_h2_flips)
+                moved |= row_moved
+                odd_ok &= few
+                for r in (row_moved & odd_ok).nonzero()[0] if few_v or few_h2 else ():
+                    if not posterior and n_v_flips[r]:
+                        s = flip_v[r].nonzero()[0]
+                        A_h1[r] += (2.0 * v_free[r, s]) @ W1_free[s]
+                    if n_h2_flips[r]:
+                        q = flip_h2[r].nonzero()[0]
+                        A_h1[r] += W2[:, q] @ (2.0 * h2_new[r, q])
+                    odd_drift[r] = drifted = True
+                if not posterior:
+                    V = _set_free(V, v_free, rows)
+                H2 = h2_new
+        # the rows whose iteration ends here, rows lo:hi: the even-first rows
+        # after an odd half-pass, the odd-first rows after an even one
+        lo, hi = (0, n_even) if odd else (n_even, R)
+        if lo == hi:
+            continue
+        end = slice(lo, hi)
+        it = (k + 1) // 2
         if drifted:
-            J = (~moved & (even_drift | odd_drift)).nonzero()[0]
+            J = (~moved[end] & (even_drift[end] | odd_drift[end])).nonzero()[0]
             if J.size:
-                v_x, h1_x, h2_x, fresh = block_pass(params, V[J], H1[J], H2[J], even_first,
+                if lo:
+                    J += lo
+                v_x, h1_x, h2_x, fresh = block_pass(params, V[J], H1[J], H2[J], odd,
                                                     _THRESHOLD, _pick(c, J), rows)
                 same = (h1_x == H1[J]).all(axis=1) & (h2_x == H2[J]).all(axis=1)
                 if not posterior:
@@ -376,20 +418,28 @@ def _descend(params, V, H1, H2, even_first: bool, c, rows, idx, trace) -> list:
                     even_ok[changed] = odd_ok[changed] = False
         if trace is not None:
             trace.append(_state(V[0], H1[0], H2[0], posterior))
-        n_moved = np.count_nonzero(moved)
-        if n_moved == 0:
+        n_moved = np.count_nonzero(moved[end])
+        if n_moved and it == cap:
+            raise SearchDivergenceError(f"no fixed point within {cap} iterations")
+        if n_moved == hi - lo:
+            moved[end] = False
+            continue
+        if n_moved == 0 and hi - lo == R:
             return done + [(idx, it, V, H1, H2, (A_v, A_h1, A_h2))]
-        if n_moved < R:
-            stop = ~moved
-            done.append((idx[stop], it, V[stop], H1[stop], H2[stop],
-                         tuple(_pick(a, stop) for a in (A_v, A_h1, A_h2))))
-            idx, V, H1, H2 = idx[moved], V[moved], H1[moved], H2[moved]
-            c = _pick(c, moved)
-            A_v, A_h1, A_h2 = _pick(A_v, moved), A_h1[moved], A_h2[moved]
-            even_ok, odd_ok = even_ok[moved], odd_ok[moved]
-            even_drift, odd_drift = even_drift[moved], odd_drift[moved]
-            R = len(H1)
-    raise SearchDivergenceError(f"no fixed point within {cap} iterations")
+        go = np.ones(R, dtype=bool)
+        go[end] = moved[end]
+        moved[end] = False
+        stop = ~go
+        done.append((idx[stop], it, V[stop], H1[stop], H2[stop],
+                     tuple(_pick(a, stop) for a in (A_v, A_h1, A_h2))))
+        idx, V, H1, H2 = idx[go], V[go], H1[go], H2[go]
+        c = _pick(c, go)
+        A_v, A_h1, A_h2 = _pick(A_v, go), A_h1[go], A_h2[go]
+        moved, even_ok, odd_ok = moved[go], even_ok[go], odd_ok[go]
+        even_drift, odd_drift = even_drift[go], odd_drift[go]
+        R = len(H1)
+        if odd:
+            n_even -= hi - lo - n_moved
 
 
 def _one(result: RowSearch, posterior: bool) -> SearchResult:

@@ -19,7 +19,7 @@ from spindbm import (DbmShape, HiddenState, JointState, block_minimize_joint,
 from spindbm.coupling import (CoupledRun, CouplingTruncatedError, RowRuns,
                               mh_couple_joint_rows, mh_couple_posterior_rows,
                               telescope_rows)
-from spindbm.model import v_field, v_share
+from spindbm.model import DrawnStream, v_field, v_share
 from spindbm.search import (default_max_iterations, gibbs_sweep_joint_rows,
                             gibbs_sweep_posterior_rows, local_search_clamped_rows,
                             local_search_joint_rows, local_search_posterior_rows)
@@ -75,6 +75,8 @@ class TestSearchRows:
             V = uniform_spins((R, s.n_v), rng)
             observed = np.arange(s.n_v) < s.n_v // 2
             draws = _search_draws(rng, params, kind != "posterior")
+            even_first = draws[-1] < 0.5  # the block holds rows of both orders
+            assert even_first.any() and not even_first.all()
             if kind == "joint":
                 block = local_search_joint_rows(params, R, Replay(*draws))
             elif kind == "posterior":
@@ -324,6 +326,20 @@ class TestRowStreams:
                 assert np.array_equal(block.H1[r], x.h1) and np.array_equal(block.H2[r], x.h2)
                 assert np.array_equal(block.V[r], V[r] if kind == "posterior" else x.v)
             assert _same_streams_left(gens, ones)
+
+    def test_drawn_stream_is_its_generator(self):
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        stream = DrawnStream(rng.random(40))
+        assert stream.random() == ref.random()
+        assert np.array_equal(stream.random((2, 3)), ref.random((2, 3)))
+        assert np.array_equal(stream.random(()), ref.random(()))
+        assert np.array_equal(stream.uniform(-1.0, 1.0, 7), ref.uniform(-1.0, 1.0, 7))
+        assert np.array_equal(stream.uniform(-1.0, 1.0, (3, 5)), ref.uniform(-1.0, 1.0, (3, 5)))
+        assert stream.random(0).shape == (0,)
+        assert stream.left == 40 - 30
+        assert np.array_equal(stream.random(10), ref.random(10))
+        with pytest.raises(RuntimeError):
+            stream.random()
 
     @pytest.mark.parametrize("with_fields", [False, True])
     def test_sweep_rows_on_their_own_generators(self, with_fields):

@@ -415,6 +415,37 @@ class TestIncrementalFields:
         assert moved > 0
 
 
+def _tie_model():
+    """test_confirming_pass_moves_state's 8-2-0 model, whose fresh h1[1] field is 0."""
+    eps = 2.0 ** -53
+    params = DbmParams.zeros(DbmShape(8, 2, 0))
+    params.W1[0, 1] = 1.0
+    params.W1[1, 1] = eps
+    params.W1[1, 0] = 1.0
+    params.b_v[0] = 2.0
+    params.b_h1[:] = (-2.0, -(1.0 - eps))
+    return params
+
+
+class TestMixedOrderBlock:
+    def test_each_row_is_its_one_state_search(self, exact_passes):
+        # one block holds both block orders and rows that leave at different
+        # iterations, and its confirming passes change some rows
+        params = _tie_model()
+        R = 40
+        block = search.local_search_joint_rows(params, R,
+                                               [np.random.default_rng(s) for s in range(R)])
+        assert {_even_first("joint", params, s) for s in range(R)} == {True, False}
+        assert len(np.unique(block.steps)) > 1
+        assert any(not _same(JointState(*a), JointState(*b)) for a, b in exact_passes)
+        for s in range(R):
+            one = local_search_joint(params, np.random.default_rng(s))
+            assert block.steps[s] == one.steps
+            assert _same(JointState(block.V[s], block.H1[s], block.H2[s]), one.state)
+            for a, b in zip(block.fields, one.fields):
+                np.testing.assert_allclose(a[s], b, rtol=0, atol=1e-9)
+
+
 class TestFieldHandover:
     """A joint search hands its fields at the returned state to the Gibbs sweep."""
 

@@ -35,8 +35,10 @@ def _benchmark_calls():
     """The library calls of perfbench's three workloads, at small sizes, and the
     one-state phase runs: their outputs.
 
-    train_step runs its batch through the row engine, so the phase runs are
-    what still reaches the wrapped posterior search and MH couplings.
+    train_step runs its batch and sample its rows through the row engine, so
+    the phase runs are what still reaches the wrapped searches and MH
+    couplings: positive_phase_run the posterior ones, negative_phase_run the
+    joint ones.
     """
     check_params, v = training.default_check_model()
     out = []

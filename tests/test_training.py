@@ -9,9 +9,9 @@ from spindbm import (DbmParams, DbmShape, DimensionError, GradEstimate, JointSta
                      negative_phase_estimate, pcd_step, positive_phase_estimate,
                      sample, train, train_step, unbiasedness_report)
 from spindbm import oracle, training
-from spindbm.coupling import CouplingTruncatedError
+from spindbm.coupling import CouplingTruncatedError, mh_step
 from spindbm.model import grad_from_rows, uniform_spins
-from spindbm.search import block_minimize_joint, gibbs_sweep_joint
+from spindbm.search import block_minimize_joint, gibbs_sweep_joint, local_search_joint
 from spindbm.training import (LOG_COLUMNS, AdamOptimizer, SgdOptimizer, gradient_from_states,
                               logistic_draws, random_semi_orthogonal, rng_for)
 
@@ -484,6 +484,61 @@ class TestSampleComplete:
         vs = sample(params, 10, mh_steps=3, rng=rng)
         for v in vs:
             np.testing.assert_array_equal(v, np.ones(4))
+
+    def test_sample_rejects_negative_counts(self):
+        params = random_params(DbmShape(3, 3, 2), seed=13)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            sample(params, -1, rng=rng)
+        with pytest.raises(ValueError):
+            sample(params, 2, mh_steps=-1, rng=rng)
+        assert sample(params, 0, mh_steps=3, rng=rng) == []
+        assert rng.random() == np.random.default_rng(0).random()  # nothing was drawn
+
+    @pytest.mark.parametrize("shape", [DbmShape(3, 3, 2), DbmShape(10, 8, 6), DbmShape(6, 5, 0),
+                                       DbmShape(64, 32, 16)], ids=str)
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    @pytest.mark.parametrize("mh_steps", [0, 2])
+    def test_sample_draws_the_sequential_stream(self, shape, n, mh_steps):
+        # the n rows run as one block, yet give what n samples in turn give
+        params = random_params(shape, seed=21)
+        rng, seq = np.random.default_rng(22), np.random.default_rng(22)
+        got = sample(params, n, mh_steps, rng=rng)
+        want = []
+        for _ in range(n):
+            x = local_search_joint(params, seq).state
+            for _ in range(mh_steps):
+                x = mh_step(params, x, seq)
+            want.append(x.v)
+        assert len(got) == n
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert rng.random() == seq.random()
+
+    def test_paper_scale_sample_is_eight_one_row_searches(self):
+        # the sample half of the infer-6272 benchmark's round 0 at seed 0
+        params = init_params(DbmShape(6272, 500, 500), np.random.default_rng([0, 1]))
+        got = sample(params, 8, rng=np.random.default_rng([0, 3, 0]))
+        seq = np.random.default_rng([0, 3, 0])
+        assert len(got) == 8
+        for v in got:
+            assert np.array_equal(v, local_search_joint(params, seq).state.v)
+
+    def test_sample_raises_on_a_stream_not_drawn_exactly(self, monkeypatch):
+        params = random_params(DbmShape(3, 3, 2), seed=13)
+        search_rows = training.local_search_joint_rows
+
+        def overdraw(params, n, streams):
+            found = search_rows(params, n, streams)
+            streams[-1].random()
+            return found
+
+        def underdraw(params, n, streams):
+            return search_rows(params, n, np.random.default_rng(1))
+
+        for wrong in (overdraw, underdraw):
+            monkeypatch.setattr(training, "local_search_joint_rows", wrong)
+            with pytest.raises(RuntimeError):
+                sample(params, 3, rng=np.random.default_rng(0))
 
     def test_complete_identity_when_fully_observed(self, rng):
         params = random_params(DbmShape(4, 3, 2), seed=2)
