@@ -187,7 +187,14 @@ def _row_counts(mask: np.ndarray, total: int) -> np.ndarray:
 
 
 def _pick(a, rows):
-    return None if a is None else a[rows]
+    """The rows of a at rows, a slice or an integer index array; None stays None.
+
+    take gathers 2-D rows faster than integer indexing does: 3.7 against
+    10.8 us for 70% of a 1024 x 3 float64 array, the oracle check's blocks.
+    """
+    if a is None:
+        return None
+    return a[rows] if isinstance(rows, slice) else a.take(rows, axis=0)
 
 
 def block_minimize_joint(params: DbmParams, v, h1, h2, even_first: bool):
@@ -300,7 +307,7 @@ def _descend(params, V, H1, H2, even_first: np.ndarray, c, rows, trace) -> list:
         # both orders: sort the even-first rows first, and give them alone
         # the first, even half-pass (no row carries fields yet)
         idx = np.argsort(~even_first, kind="stable")
-        V, H1, H2, c = V[idx], H1[idx], H2[idx], _pick(c, idx)
+        V, H1, H2, c = (_pick(a, idx) for a in (V, H1, H2, c))
         E = slice(0, n_even)
         A_h2 = np.empty_like(H2)
         A_h2[E] = h2_field(params, H1[E])
@@ -310,8 +317,9 @@ def _descend(params, V, H1, H2, even_first: np.ndarray, c, rows, trace) -> list:
         if not posterior:
             a_v = v_field(params, H1[E], rows)
             v_free = _spins(a_v, None)
-            moved[E] |= (v_free != (V[E] if rows is None else V[E, rows[0]])).any(axis=1)
-            V[E] = _set_free(V[E], v_free, rows)
+            free = slice(None) if rows is None else rows[0]
+            moved[E] |= (v_free != V[E, free]).any(axis=1)
+            V[E, free] = v_free
             A_v = np.empty((R, a_v.shape[1]))
             A_v[E] = a_v
         even_ok[E] = True
@@ -328,7 +336,7 @@ def _descend(params, V, H1, H2, even_first: np.ndarray, c, rows, trace) -> list:
                     odd_drift[:] = False
             elif n_ok < R:
                 J = (~odd_ok).nonzero()[0]
-                A_h1[J] = h1_field(params, V[J], H2[J], _pick(c, J))
+                A_h1[J] = h1_field(params, _pick(V, J), _pick(H2, J), _pick(c, J))
                 odd_ok[J], odd_drift[J] = True, False
             new = _spins(A_h1, None)
             flip = new != H1
@@ -355,9 +363,10 @@ def _descend(params, V, H1, H2, even_first: np.ndarray, c, rows, trace) -> list:
                     even_drift[:] = False
             elif n_ok < R:
                 J = (~even_ok).nonzero()[0]
+                H1_J = _pick(H1, J)
                 if not posterior:
-                    A_v[J] = v_field(params, H1[J], rows)
-                A_h2[J] = h2_field(params, H1[J])
+                    A_v[J] = v_field(params, H1_J, rows)
+                A_h2[J] = h2_field(params, H1_J)
                 even_ok[J], even_drift[J] = True, False
             h2_new = _spins(A_h2, None)
             flip_h2 = h2_new != H2
@@ -399,11 +408,12 @@ def _descend(params, V, H1, H2, even_first: np.ndarray, c, rows, trace) -> list:
             if J.size:
                 if lo:
                     J += lo
-                v_x, h1_x, h2_x, fresh = block_pass(params, V[J], H1[J], H2[J], odd,
-                                                    _THRESHOLD, _pick(c, J), rows)
-                same = (h1_x == H1[J]).all(axis=1) & (h2_x == H2[J]).all(axis=1)
+                x = V[J], H1[J], H2[J]
+                v_x, h1_x, h2_x, fresh = block_pass(params, *x, odd, _THRESHOLD, _pick(c, J),
+                                                    rows)
+                same = (h1_x == x[1]).all(axis=1) & (h2_x == x[2]).all(axis=1)
                 if not posterior:
-                    same &= (v_x == V[J]).all(axis=1)
+                    same &= (v_x == x[0]).all(axis=1)
                 kept, changed = J[same], J[~same]
                 if not posterior:
                     A_v[kept] = fresh[0][same]
@@ -429,14 +439,12 @@ def _descend(params, V, H1, H2, even_first: np.ndarray, c, rows, trace) -> list:
         go = np.ones(R, dtype=bool)
         go[end] = moved[end]
         moved[end] = False
-        stop = ~go
-        done.append((idx[stop], it, V[stop], H1[stop], H2[stop],
+        stop, go = (~go).nonzero()[0], go.nonzero()[0]
+        done.append((idx[stop], it, *(_pick(a, stop) for a in (V, H1, H2)),
                      tuple(_pick(a, stop) for a in (A_v, A_h1, A_h2))))
-        idx, V, H1, H2 = idx[go], V[go], H1[go], H2[go]
-        c = _pick(c, go)
-        A_v, A_h1, A_h2 = _pick(A_v, go), A_h1[go], A_h2[go]
-        moved, even_ok, odd_ok = moved[go], even_ok[go], odd_ok[go]
-        even_drift, odd_drift = even_drift[go], odd_drift[go]
+        idx, moved, even_ok, odd_ok, even_drift, odd_drift = (
+            a[go] for a in (idx, moved, even_ok, odd_ok, even_drift, odd_drift))
+        V, H1, H2, c, A_v, A_h1, A_h2 = (_pick(a, go) for a in (V, H1, H2, c, A_v, A_h1, A_h2))
         R = len(H1)
         if odd:
             n_even -= hi - lo - n_moved
