@@ -12,7 +12,6 @@ mode-initialized Metropolis coupling meets in one step.
 from __future__ import annotations
 
 import csv
-import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +108,7 @@ def run_coupling_sweep(dims=DEFAULT_DIMS, replicates: int = DEFAULT_REPLICATES,
              for arm in arms for dim in dims for rep in range(replicates)]
     workers = min(threads, len(tasks))
     if workers > 1:
+        import multiprocessing  # only here: it adds to every import of the package
         with multiprocessing.Pool(processes=workers) as pool:
             records = pool.map(_run_one_tuple, tasks, chunksize=16)
     else:

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (DbmParams, DimensionError, GradEstimate, HiddenState, JointState,
-                    check_joint, check_visible, energy_vhh, is_spin, keep_rows, random_rows,
-                    uniform_spins, v_share)
+                    check_joint, check_visible, energy_vhh, is_spin, keep_rows, pick_rows,
+                    random_rows, uniform_spins, v_share)
 from .search import block_pass, block_uniforms, gibbs_sweep_joint, sweep_uniforms
 
 DEFAULT_TAU_MAX_MH = 10_000
@@ -140,11 +140,10 @@ def _mh_chains(params: DbmParams, X0: np.ndarray, n_steps: int, rng: np.random.G
                 break
             if n_met:
                 tau[rows[met]] = t
-                go = ~met
-                rows, X, Y, E_x, E_y = rows[go], X[go], Y[go], E_x[go], E_y[go]
+                go = (~met).nonzero()[0]
+                rows, X, Y, E_x, E_y, V, c = (pick_rows(a, go)
+                                              for a in (rows, X, Y, E_x, E_y, V, c))
                 rng = keep_rows(rng, go)
-                if not joint:
-                    V, c = V[go], c[go]
     truncated = np.zeros(R, dtype=bool)
     truncated[rows] = stop_at_meeting
     return RowRuns(X0, tau, truncated, steps)
@@ -329,18 +328,20 @@ def telescope_rows(runs: RowRuns, keep=None):
     if (runs.truncated & kept).any():
         raise CouplingTruncatedError("telescoping sum over a truncated run would be biased")
     met_at_once = (runs.tau == 1) & kept
-    states, coefs = [runs.x0[met_at_once]], [np.ones(np.count_nonzero(met_at_once))]
-    owners = [met_at_once.nonzero()[0]]
+    first = met_at_once.nonzero()[0]
+    states, coefs, owners = [pick_rows(runs.x0, first)], [np.ones(first.size)], [first]
     later = (kept & ~met_at_once).nonzero()[0]
     if later.size:
         rows = np.concatenate([r for r, _, _ in runs.steps])
         t = np.repeat(np.arange(1, len(runs.steps) + 1), [len(r) for r, _, _ in runs.steps])
-        on = (t < runs.tau[rows]) & kept[rows]  # x_t, y_{t-1} enter run r's sum for t < tau_r
-        X = np.concatenate([X for _, X, _ in runs.steps])[on]
-        Y = np.concatenate([Y for _, _, Y in runs.steps])[on]
-        s, c, o = _distinct(np.concatenate([runs.x0[later], X, Y]),
+        # x_t, y_{t-1} enter run r's sum for t < tau_r
+        on = ((t < runs.tau[rows]) & kept[rows]).nonzero()[0]
+        X = pick_rows(np.concatenate([X for _, X, _ in runs.steps]), on)
+        Y = pick_rows(np.concatenate([Y for _, _, Y in runs.steps]), on)
+        rows = pick_rows(rows, on)
+        s, c, o = _distinct(np.concatenate([pick_rows(runs.x0, later), X, Y]),
                             np.concatenate([np.ones(later.size + len(X)), -np.ones(len(Y))]),
-                            np.concatenate([later, rows[on], rows[on]]))
+                            np.concatenate([later, rows, rows]))
         states.append(s)
         coefs.append(c)
         owners.append(o)

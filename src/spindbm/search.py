@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (DbmParams, HiddenState, JointState, check_joint, check_visible, h1_field,
-                    h2_field, is_spin, random_rows, uniform_spins, v_field, v_share)
+                    h2_field, is_spin, pick_rows, random_rows, uniform_spins, v_field, v_share)
 
 
 class SearchDivergenceError(RuntimeError):
@@ -186,17 +186,6 @@ def _row_counts(mask: np.ndarray, total: int) -> np.ndarray:
     return np.full(1, total) if len(mask) == 1 else mask.sum(axis=1)
 
 
-def _pick(a, rows):
-    """The rows of a at rows, a slice or an integer index array; None stays None.
-
-    take gathers 2-D rows faster than integer indexing does: 3.7 against
-    10.8 us for 70% of a 1024 x 3 float64 array, the oracle check's blocks.
-    """
-    if a is None:
-        return None
-    return a[rows] if isinstance(rows, slice) else a.take(rows, axis=0)
-
-
 def block_minimize_joint(params: DbmParams, v, h1, h2, even_first: bool):
     """One full block-minimization pass; returns the new (v, h1, h2).
 
@@ -307,7 +296,7 @@ def _descend(params, V, H1, H2, even_first: np.ndarray, c, rows, trace) -> list:
         # both orders: sort the even-first rows first, and give them alone
         # the first, even half-pass (no row carries fields yet)
         idx = np.argsort(~even_first, kind="stable")
-        V, H1, H2, c = (_pick(a, idx) for a in (V, H1, H2, c))
+        V, H1, H2, c = (pick_rows(a, idx) for a in (V, H1, H2, c))
         E = slice(0, n_even)
         A_h2 = np.empty_like(H2)
         A_h2[E] = h2_field(params, H1[E])
@@ -336,7 +325,7 @@ def _descend(params, V, H1, H2, even_first: np.ndarray, c, rows, trace) -> list:
                     odd_drift[:] = False
             elif n_ok < R:
                 J = (~odd_ok).nonzero()[0]
-                A_h1[J] = h1_field(params, _pick(V, J), _pick(H2, J), _pick(c, J))
+                A_h1[J] = h1_field(params, pick_rows(V, J), pick_rows(H2, J), pick_rows(c, J))
                 odd_ok[J], odd_drift[J] = True, False
             new = _spins(A_h1, None)
             flip = new != H1
@@ -363,7 +352,7 @@ def _descend(params, V, H1, H2, even_first: np.ndarray, c, rows, trace) -> list:
                     even_drift[:] = False
             elif n_ok < R:
                 J = (~even_ok).nonzero()[0]
-                H1_J = _pick(H1, J)
+                H1_J = pick_rows(H1, J)
                 if not posterior:
                     A_v[J] = v_field(params, H1_J, rows)
                 A_h2[J] = h2_field(params, H1_J)
@@ -409,7 +398,7 @@ def _descend(params, V, H1, H2, even_first: np.ndarray, c, rows, trace) -> list:
                 if lo:
                     J += lo
                 x = V[J], H1[J], H2[J]
-                v_x, h1_x, h2_x, fresh = block_pass(params, *x, odd, _THRESHOLD, _pick(c, J),
+                v_x, h1_x, h2_x, fresh = block_pass(params, *x, odd, _THRESHOLD, pick_rows(c, J),
                                                     rows)
                 same = (h1_x == x[1]).all(axis=1) & (h2_x == x[2]).all(axis=1)
                 if not posterior:
@@ -440,11 +429,11 @@ def _descend(params, V, H1, H2, even_first: np.ndarray, c, rows, trace) -> list:
         go[end] = moved[end]
         moved[end] = False
         stop, go = (~go).nonzero()[0], go.nonzero()[0]
-        done.append((idx[stop], it, *(_pick(a, stop) for a in (V, H1, H2)),
-                     tuple(_pick(a, stop) for a in (A_v, A_h1, A_h2))))
+        done.append((idx[stop], it, *(pick_rows(a, stop) for a in (V, H1, H2)),
+                     tuple(pick_rows(a, stop) for a in (A_v, A_h1, A_h2))))
         idx, moved, even_ok, odd_ok, even_drift, odd_drift = (
             a[go] for a in (idx, moved, even_ok, odd_ok, even_drift, odd_drift))
-        V, H1, H2, c, A_v, A_h1, A_h2 = (_pick(a, go) for a in (V, H1, H2, c, A_v, A_h1, A_h2))
+        V, H1, H2, c, A_v, A_h1, A_h2 = (pick_rows(a, go) for a in (V, H1, H2, c, A_v, A_h1, A_h2))
         R = len(H1)
         if odd:
             n_even -= hi - lo - n_moved
@@ -542,8 +531,8 @@ def _sweep(params: DbmParams, V, H1, H2, rng, c=None, fields=None):
     out = None
     for order, g in _groups(even_first):
         new = block_pass(params, V[g], H1[g], H2[g], order,
-                         block_uniforms(U[g], order, n_v, n_h1), _pick(c, g),
-                         fields=None if fields is None else tuple(_pick(a, g) for a in fields))
+                         block_uniforms(U[g], order, n_v, n_h1), pick_rows(c, g),
+                         fields=None if fields is None else tuple(pick_rows(a, g) for a in fields))
         if isinstance(g, slice):
             return new[:3]
         if out is None:

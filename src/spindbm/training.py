@@ -26,22 +26,20 @@ import numpy as np
 
 from . import oracle
 from .coupling import (DEFAULT_TAU_MAX_MH, CouplingTruncatedError, _mh_chains,
-                       mh_couple_joint, mh_couple_joint_rows, mh_couple_posterior,
-                       mh_couple_posterior_rows, telescope_rows, telescope_terms)
+                       mh_couple_joint_rows, mh_couple_posterior_rows, telescope_rows)
 from .model import (DbmParams, DbmShape, DrawnStream, GradEstimate, JointState, check_visible,
                     grad_from_rows, grad_rows, h1_field, h2_field, keep_rows, load_params,
                     save_params, uniform_spins, v_field, v_share)
+from .search import (gibbs_sweep_joint, gibbs_sweep_joint_rows, gibbs_sweep_posterior_rows,
+                     local_search_clamped, local_search_joint_rows, local_search_posterior_rows)
 # Not called here; perfbench/tracer.py wraps these names in this module,
 # so they stay importable from it.
-from .coupling import mh_step, telescope_estimate  # noqa: F401
+from .coupling import (mh_couple_joint, mh_couple_posterior, mh_step,  # noqa: F401
+                       telescope_estimate)
 from .model import (grad_energy_even_marginal, grad_energy_odd_marginal,  # noqa: F401
                     grad_energy_odd_posterior, grad_energy_vhh)
-# The *_rows engine entry points carry no name perfbench/tracer.py wraps, so
-# the wrapped names below keep their one-state results.
-from .search import (gibbs_sweep_joint, gibbs_sweep_joint_rows, gibbs_sweep_posterior,
-                     gibbs_sweep_posterior_rows, local_search_clamped, local_search_joint,
-                     local_search_joint_rows, local_search_posterior,
-                     local_search_posterior_rows)
+from .search import (gibbs_sweep_posterior, local_search_joint,  # noqa: F401
+                     local_search_posterior)
 
 ESTIMATORS = ("plain", "marginalized")
 OPTIMIZERS = ("sgd", "adam", "amsgrad")
@@ -291,38 +289,25 @@ def gradient_from_states(params: DbmParams, estimator: str, posterior: list, joi
     return grad_from_rows(*_integrand_rows(params, estimator, V, H1, H2, w, len(posterior)))
 
 
-def positive_phase_run(params: DbmParams, v: np.ndarray, tau_max: int,
-                       rng: np.random.Generator):
-    """Posterior coupling from a perturbed posterior mode: (run, search_steps).
+def _positive_rows(params: DbmParams, V: np.ndarray, c: np.ndarray, tau_max: int, rng):
+    """Posterior couplings from perturbed posterior modes, row r at V[r]: (RowRuns, steps).
 
-    v's share of the h1 field, c = v_share(v), is computed once and passed
-    to the search, the sweep and the MH coupling.
+    A posterior search, sweep and MH coupling, each passed c = v_share(V).
     """
-    check_visible(params, v)
-    c = v_share(params, v)
-    sr = local_search_posterior(params, v, rng, c=c)
-    h0 = gibbs_sweep_posterior(params, v, sr.state, rng, c=c)
-    run = mh_couple_posterior(params, v, h0, tau_max, rng, c=c)
-    return run, sr.steps
+    found = local_search_posterior_rows(params, V, rng, c=c)
+    H = np.hstack(gibbs_sweep_posterior_rows(params, V, found.H1, found.H2, rng, c=c))
+    return mh_couple_posterior_rows(params, V, H, tau_max, rng, c=c), found.steps
 
 
-def negative_phase_run(params: DbmParams, tau_max: int, rng: np.random.Generator):
-    """Joint coupling from a perturbed joint mode: (run, search_steps).
+def _negative_rows(params: DbmParams, n: int, tau_max: int, rng):
+    """n joint couplings from perturbed joint modes: (RowRuns, search steps).
 
-    The sweep takes its first block's field from the search's fields.
+    A joint search, sweep and MH coupling; the sweep takes the search's fields.
     """
-    sr = local_search_joint(params, rng)
-    x0 = gibbs_sweep_joint(params, sr.state, rng, fields=sr.fields)
-    run = mh_couple_joint(params, x0, tau_max, rng)
-    return run, sr.steps
-
-
-def _posterior_states(v: np.ndarray, run, sign: float) -> list:
-    return [(v, h.h1, h.h2, sign * c) for h, c in telescope_terms(run)]
-
-
-def _joint_states(run, sign: float) -> list:
-    return [(x.v, x.h1, x.h2, sign * c) for x, c in telescope_terms(run)]
+    found = local_search_joint_rows(params, n, rng)
+    X = np.hstack(gibbs_sweep_joint_rows(params, found.V, found.H1, found.H2, rng,
+                                         fields=found.fields))
+    return mh_couple_joint_rows(params, X, tau_max, rng), found.steps
 
 
 class DrawRows(NamedTuple):
@@ -353,41 +338,34 @@ def _example_block(params: DbmParams, V: np.ndarray, tau_max: int, rng,
                    truncation_policy: str = "error") -> DrawRows:
     """One log-likelihood gradient draw per row of V, run as one row block.
 
-    Stage by stage: a posterior search, sweep and MH coupling over all rows,
-    row r clamped to V[r], then a joint search, sweep and coupling over the
-    rows that go on. Each draw's positive-phase terms enter with weight -c
-    and its negative-phase terms with +c. rng is one generator, from which
-    each stage draws all its rows' numbers in turn, so the block is a
-    function of rng's state and V; or one generator per row, from which row
-    r draws exactly what positive_phase_run and then negative_phase_run
+    The positive stage over all rows (_positive_rows), row r clamped to
+    V[r], then the negative stage (_negative_rows) over the rows that go on.
+    Each draw's positive-phase terms enter with weight -c and its
+    negative-phase terms with +c. rng is one generator, from which each
+    stage draws all its rows' numbers in turn, so the block is a function of
+    rng's state and V; or one generator per row, from which row r draws
+    exactly what the R = 1 positive stage and then the R = 1 negative stage
     draw from it. A truncated run raises CouplingTruncatedError (a positive
-    one before the joint stage starts) unless truncation_policy is
-    "drop_sample": a row whose positive run truncated then runs no joint
+    one before the negative stage starts) unless truncation_policy is
+    "drop_sample": a row whose positive run truncated then runs no negative
     stage, and a row with a truncated run leaves no rows.
     """
     check_visible(params, V)
     s = params.shape
     n = len(V)
     drop = truncation_policy == "drop_sample"
-    c = v_share(params, V)
     tau = np.zeros((n, 2), dtype=np.int64)
     steps = np.zeros((n, 2), dtype=np.int64)
     truncated = np.zeros((n, 2), dtype=bool)
-    found = local_search_posterior_rows(params, V, rng, c=c)
-    H = np.hstack(gibbs_sweep_posterior_rows(params, V, found.H1, found.H2, rng, c=c))
-    prun = mh_couple_posterior_rows(params, V, H, tau_max, rng, c=c)
-    tau[:, 0], steps[:, 0], truncated[:, 0] = prun.tau, found.steps, prun.truncated
+    prun, steps[:, 0] = _positive_rows(params, V, v_share(params, V), tau_max, rng)
+    tau[:, 0], truncated[:, 0] = prun.tau, prun.truncated
     if not drop and prun.truncated.any():
         raise CouplingTruncatedError("a positive-phase coupling was truncated")
-    go = (~prun.truncated).nonzero()[0]  # the rows that run the joint stage
+    go = (~prun.truncated).nonzero()[0]  # the rows that run the negative stage
     neg, neg_c, neg_owner = np.empty((0, s.total)), np.empty(0), go[:0]
     if go.size:
-        rng = keep_rows(rng, ~prun.truncated)
-        found = local_search_joint_rows(params, go.size, rng)
-        X = np.hstack(gibbs_sweep_joint_rows(params, found.V, found.H1, found.H2, rng,
-                                             fields=found.fields))
-        nrun = mh_couple_joint_rows(params, X, tau_max, rng)
-        tau[go, 1], steps[go, 1], truncated[go, 1] = nrun.tau, found.steps, nrun.truncated
+        nrun, steps[go, 1] = _negative_rows(params, go.size, tau_max, keep_rows(rng, go))
+        tau[go, 1], truncated[go, 1] = nrun.tau, nrun.truncated
         if not drop and nrun.truncated.any():
             raise CouplingTruncatedError("a negative-phase coupling was truncated")
         neg, neg_c, neg_owner = telescope_rows(nrun, ~nrun.truncated)
@@ -415,20 +393,32 @@ def _draw_gradients(params: DbmParams, estimator: str, rows: DrawRows) -> np.nda
     return np.add.reduceat(grad_rows(V[order], H1[order], H2[order], w[order]), starts)
 
 
+def _stage_estimate(params: DbmParams, estimator: str, run, steps, v=None):
+    """(g, tau, T) of a one-row stage: the gradient of its telescoping sum,
+    a posterior run's at its clamped v, or a joint run's with v None."""
+    states, coefs, _ = telescope_rows(run)
+    n_v = params.shape.n_v if v is None else 0
+    n_vh = n_v + params.shape.n_h1
+    V = states[:, :n_v] if v is None else np.broadcast_to(v, (len(states), len(v)))
+    g = grad_from_rows(*_integrand_rows(params, estimator, V, states[:, n_v:n_vh],
+                                        states[:, n_vh:], coefs, 0 if v is None else len(V)))
+    return g, int(run.tau[0]), int(steps[0])
+
+
 def positive_phase_estimate(params: DbmParams, v: np.ndarray, cfg: TrainConfig,
                             rng: np.random.Generator):
-    """Unbiased estimate of E[grad E(v, h)] under the posterior: (g, tau, T)."""
-    run, steps = positive_phase_run(params, v, cfg.tau_max, rng)
-    g = gradient_from_states(params, cfg.estimator, _posterior_states(v, run, 1.0), [])
-    return g, run.tau, steps
+    """Unbiased estimate of E[grad E(v, h)] under the posterior: (g, tau, T), at R = 1."""
+    check_visible(params, v)
+    V = np.asarray(v, dtype=np.float64)[None]
+    run, steps = _positive_rows(params, V, v_share(params, V), cfg.tau_max, rng)
+    return _stage_estimate(params, cfg.estimator, run, steps, V[0])
 
 
 def negative_phase_estimate(params: DbmParams, cfg: TrainConfig,
                             rng: np.random.Generator):
-    """Unbiased estimate of E[grad E(x)] under the joint law: (g, tau, T)."""
-    run, steps = negative_phase_run(params, cfg.tau_max, rng)
-    g = gradient_from_states(params, cfg.estimator, [], _joint_states(run, 1.0))
-    return g, run.tau, steps
+    """Unbiased estimate of E[grad E(x)] under the joint law: (g, tau, T), at R = 1."""
+    run, steps = _negative_rows(params, 1, cfg.tau_max, rng)
+    return _stage_estimate(params, cfg.estimator, run, steps)
 
 
 def _column(default, fmt: str):
@@ -461,8 +451,8 @@ def train_step(params: DbmParams, batch, cfg: TrainConfig, rng: np.random.Genera
     coupling; their difference estimates the per-example log-likelihood
     gradient and the batch mean drives the optimizer. The B examples run as
     one row block (_example_block), example i on the i-th generator rng
-    spawns, so it draws what positive_phase_run and negative_phase_run draw
-    on that generator. The chain states of the whole batch, in example
+    spawns, so it draws what the R = 1 positive and negative stages draw on
+    that generator. The chain states of the whole batch, in example
     order and weighted by +-coefficient / kept, become the batch gradient in
     one _integrand_rows and grad_from_rows pass.
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from spindbm import DbmParams, DbmShape, init_params, oracle
+from spindbm import (DbmParams, DbmShape, gibbs_sweep_joint, gibbs_sweep_posterior, init_params,
+                     local_search_joint, local_search_posterior, mh_couple_joint,
+                     mh_couple_posterior, oracle, telescope_terms)
 
 
 @pytest.fixture
@@ -66,3 +68,29 @@ def enumerated_states(params, v):
     posterior = [(v, h[:s.n_h1], h[s.n_h1:], -p) for h, p in zip(hid, post)]
     joint_states = [(x[:s.n_v], x[s.n_v:n_vh], x[n_vh:], p) for x, p in zip(full, joint)]
     return posterior, joint_states
+
+
+# The one-state phases, chained from the public one-state functions: the
+# reference that training's row stages (_positive_rows, _negative_rows) are
+# held to. Each returns (CoupledRun, search steps).
+
+def posterior_chain(params, v, tau_max, rng):
+    """Posterior search, sweep and MH coupling with v clamped, all on rng."""
+    found = local_search_posterior(params, v, rng)
+    h0 = gibbs_sweep_posterior(params, v, found.state, rng)
+    return mh_couple_posterior(params, v, h0, tau_max, rng), found.steps
+
+
+def joint_chain(params, tau_max, rng):
+    """Joint search, sweep (from the search's fields) and MH coupling, all on rng."""
+    found = local_search_joint(params, rng)
+    x0 = gibbs_sweep_joint(params, found.state, rng, fields=found.fields)
+    return mh_couple_joint(params, x0, tau_max, rng), found.steps
+
+
+def chain_states(run, sign, v=None):
+    """A run's telescoping terms as gradient_from_states' (v, h1, h2, sign * coefficient)
+    states: a posterior run's at its clamped v, a joint run's with v None."""
+    if v is None:
+        return [(x.v, x.h1, x.h2, sign * c) for x, c in telescope_terms(run)]
+    return [(v, h.h1, h.h2, sign * c) for h, c in telescope_terms(run)]

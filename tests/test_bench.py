@@ -1,9 +1,10 @@
 import collections
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from spindbm import ALL_ARMS, BenchArm, bench, emit_csv, run_coupling_sweep, summarize
+from spindbm import ALL_ARMS, BenchArm, emit_csv, run_coupling_sweep, summarize
 from spindbm.bench import parse_csv, format_summary
 
 
@@ -24,7 +25,7 @@ def record_pool(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return [fn(t) for t in tasks]
 
-    monkeypatch.setattr(bench.multiprocessing, "Pool", Pool)
+    monkeypatch.setattr(multiprocessing, "Pool", Pool)
     return started
 
 

@@ -1,8 +1,8 @@
 """Golden guard: the sampler's +-1 outputs and a short training run, pinned.
 
 Every public search, Gibbs, MH, coupling, sampling and completion entry
-point, and the positive and negative phase runs that chain a search, a
-sweep and an MH coupling, runs on fixed seeds and shapes (including
+point, and training's positive and negative stages at R = 1, which chain a
+search, a sweep and an MH coupling, runs on fixed seeds and shapes (including
 n_h2 = 0 and masks that observe all, some and none of the visible
 units), and the sha256 of its spin outputs, iteration counts and
 coupling times is compared with a recorded digest. Spins are exact, so
@@ -25,7 +25,8 @@ from spindbm import (DbmShape, HiddenState, JointState, TrainConfig,
                      mh_coupled_trajectory, mh_step, run_coupling_sweep, sample,
                      train, uniform_spins)
 from spindbm.data import synthetic_patterns
-from spindbm.training import negative_phase_run, positive_phase_run
+from spindbm.model import v_share
+from spindbm.training import _negative_rows, _positive_rows
 
 from conftest import random_params
 
@@ -56,6 +57,14 @@ class _Digest:
         self.ints(run.tau, run.truncated, len(run.x_states), len(run.y_states))
         for s in run.x_states + run.y_states:
             self.state(s)
+
+    def row_run(self, runs, sizes):
+        """run, for the one run of a one-row RowRuns; sizes are its blocks'."""
+        xs = [runs.x0[0]] + [X[0] for _, X, _ in runs.steps]
+        ys = [Y[0] for _, _, Y in runs.steps]
+        self.ints(runs.tau[0], runs.truncated[0], len(xs), len(ys))
+        for a in xs + ys:
+            self.spins(*np.split(a, np.cumsum(sizes[:-1])))
 
 
 def _models():
@@ -192,21 +201,23 @@ def g_complete(d):
 
 def g_positive_phase_run(d):
     for params, rng in _models():
+        s = params.shape
         for tau_max in (1, 3, 10_000):
             for _ in range(10):
-                run, steps = positive_phase_run(params, uniform_spins(params.shape.n_v, rng),
-                                                tau_max, rng)
-                d.ints(steps)
-                d.run(run)
+                V = uniform_spins((1, s.n_v), rng)
+                runs, steps = _positive_rows(params, V, v_share(params, V), tau_max, rng)
+                d.ints(steps[0])
+                d.row_run(runs, (s.n_h1, s.n_h2))
 
 
 def g_negative_phase_run(d):
     for params, rng in _models():
+        s = params.shape
         for tau_max in (1, 3, 10_000):
             for _ in range(10):
-                run, steps = negative_phase_run(params, tau_max, rng)
-                d.ints(steps)
-                d.run(run)
+                runs, steps = _negative_rows(params, 1, tau_max, rng)
+                d.ints(steps[0])
+                d.row_run(runs, (s.n_v, s.n_h1, s.n_h2))
 
 
 def g_bench_sweep(d):

@@ -4,8 +4,10 @@ Row r of a block must be what the one-state entry point computes from row
 r's numbers, so most tests here replay one block's random numbers row by
 row through the one-state functions (Replay stands in for the generator).
 TestRowStreams gives each row its own generator instead, as training does:
-a block on R spawned generators must equal R one-state calls, each on its
-own copy of row r's generator.
+a block on R spawned generators must equal R one-state calls (for
+training's block, R one-row calls of its stages), each on its own copy of
+row r's generator; and training's stages at R = 1 must equal the one-state
+chain of search, sweep and MH coupling.
 """
 
 import numpy as np
@@ -23,10 +25,9 @@ from spindbm.model import DrawnStream, v_field, v_share
 from spindbm.search import (default_max_iterations, gibbs_sweep_joint_rows,
                             gibbs_sweep_posterior_rows, local_search_clamped_rows,
                             local_search_joint_rows, local_search_posterior_rows)
-from spindbm.training import (_example_block, _joint_states, _posterior_states,
-                              negative_phase_run, positive_phase_run)
+from spindbm.training import _example_block, _negative_rows, _positive_rows
 
-from conftest import random_params
+from conftest import joint_chain, posterior_chain, random_params
 
 R = 40
 SHAPES = (DbmShape(3, 3, 2), DbmShape(6, 5, 0), DbmShape(40, 48, 16), DbmShape(300, 96, 64))
@@ -165,7 +166,11 @@ class TestSweepRows:
 
 
 def _run_of(runs: RowRuns, r: int, sizes) -> CoupledRun:
-    """Run r of a block of joint runs as a one-state CoupledRun."""
+    """Run r of a block of runs as a one-state CoupledRun of JointStates.
+
+    sizes = (n_v, n_h1) splits each row; n_v = 0 for posterior runs, whose
+    states then carry an empty v.
+    """
     xs, ys = [runs.x0[r]], []
     for rows, X, Y in runs.steps:
         at = np.flatnonzero(rows == r)
@@ -392,10 +397,39 @@ class TestRowStreams:
         assert long_runs > 0
 
     @pytest.mark.parametrize("tau_max", [2, 10_000])
+    def test_stages_at_one_row_are_the_one_state_chain(self, tau_max):
+        # the positive and the negative stage at R = 1 draw what the public
+        # one-state search, sweep and MH coupling draw on the same generator
+        seen = {"long": 0, "cut": 0}
+        for i, params in enumerate(_stream_models()):
+            for k, v in enumerate(uniform_spins((R, params.shape.n_v),
+                                                np.random.default_rng(i))):
+                stage, ref = (np.random.default_rng([1300 + i, k]) for _ in range(2))
+                V = v[None]
+                for (runs, steps), (run, ref_steps) in (
+                        (_positive_rows(params, V, v_share(params, V), tau_max, stage),
+                         posterior_chain(params, v, tau_max, ref)),
+                        (_negative_rows(params, 1, tau_max, stage),
+                         joint_chain(params, tau_max, ref))):
+                    assert steps[0] == ref_steps
+                    assert (runs.tau[0], runs.truncated[0]) == (run.tau, run.truncated)
+                    assert np.array_equal(runs.x0[0], run.x_states[0].concat())
+                    xs, ys = _rows_of_run(runs, 0)
+                    assert len(xs) == len(run.x_states) - 1 and len(ys) == len(run.y_states)
+                    assert all(np.array_equal(a, b.concat()) for a, b in zip(xs, run.x_states[1:]))
+                    assert all(np.array_equal(a, b.concat()) for a, b in zip(ys, run.y_states))
+                    seen["long"] += run.tau > 1
+                    seen["cut"] += run.truncated
+                assert stage.random() == ref.random()  # the same draws, and no more
+        assert seen["long"] > 0
+        if tau_max == 2:
+            assert seen["cut"] > 0
+
+    @pytest.mark.parametrize("tau_max", [2, 10_000])
     def test_example_block_on_its_own_generators(self, tau_max):
-        # each row draws what positive_phase_run, then negative_phase_run draw
-        # on its generator; under drop_sample a truncated positive run ends the
-        # row's draws, and a truncated run leaves the row without states
+        # each row draws what the positive, then the negative stage draw at
+        # R = 1 on its generator; under drop_sample a truncated positive run
+        # ends the row's draws, and a truncated run leaves the row without states
         seen = {"long": 0, "pos_cut": 0, "neg_cut": 0}
         for i, params in enumerate(_stream_models()):
             s = params.shape
@@ -404,28 +438,31 @@ class TestRowStreams:
             block = _example_block(params, V, tau_max, gens, "drop_sample")
             ones = _gens(1100 + i, R)
             for r, g in enumerate(ones):
-                prun, t_p = positive_phase_run(params, V[r], tau_max, g)
-                assert (block.tau[r, 0], block.steps[r, 0]) == (prun.tau, t_p)
-                assert block.truncated[r, 0] == prun.truncated
+                prun, t_p = _positive_rows(params, V[r:r + 1], v_share(params, V[r:r + 1]),
+                                           tau_max, g)
+                assert (block.tau[r, 0], block.steps[r, 0]) == (prun.tau[0], t_p[0])
+                assert block.truncated[r, 0] == prun.truncated[0]
                 mine = block.owner == r
-                if prun.truncated:
+                if prun.truncated[0]:
                     seen["pos_cut"] += 1
                     assert (block.tau[r, 1], block.steps[r, 1], block.truncated[r, 1]) == (0, 0, False)
                     assert not mine.any()
                     continue
-                nrun, t_n = negative_phase_run(params, tau_max, g)
-                assert (block.tau[r, 1], block.steps[r, 1]) == (nrun.tau, t_n)
-                assert block.truncated[r, 1] == nrun.truncated
-                seen["long"] += (prun.tau > 1) + (nrun.tau > 1)
-                if nrun.truncated:
+                nrun, t_n = _negative_rows(params, 1, tau_max, g)
+                assert (block.tau[r, 1], block.steps[r, 1]) == (nrun.tau[0], t_n[0])
+                assert block.truncated[r, 1] == nrun.truncated[0]
+                seen["long"] += (prun.tau[0] > 1) + (nrun.tau[0] > 1)
+                if nrun.truncated[0]:
                     seen["neg_cut"] += 1
                     assert not mine.any()
                     continue
                 rows = np.hstack([block.V, block.H1, block.H2])
                 pos = mine & (np.arange(len(mine)) < block.n_pos)
-                for sel, states in ((pos, _posterior_states(V[r], prun, -1.0)),
-                                    (mine & ~pos, _joint_states(nrun, 1.0))):
-                    want = {np.concatenate(st[:3]).tobytes(): st[3] for st in states}
+                terms = ((pos, V[r], _run_of(prun, 0, (0, s.n_h1)), -1.0),
+                         (mine & ~pos, V[r, :0], _run_of(nrun, 0, params.sizes), 1.0))
+                for sel, v, run, sign in terms:
+                    want = {np.concatenate([v, x.concat()]).tobytes(): sign * c
+                            for x, c in telescope_terms(run)}
                     assert dict(zip((a.tobytes() for a in rows[sel]), block.w[sel])) == want
             assert _same_streams_left(gens, ones)
             assert np.all(np.diff(block.owner[:block.n_pos]) >= 0)  # example order

@@ -33,12 +33,13 @@ def test_every_tracer_target_resolves():
 
 def _benchmark_calls():
     """The library calls of perfbench's three workloads, at small sizes, and the
-    one-state phase runs: their outputs.
+    one-state phases: their outputs.
 
     train_step runs its batch and sample its rows through the row engine, so
-    the phase runs are what still reaches the wrapped searches and MH
-    couplings: positive_phase_run the posterior ones, negative_phase_run the
-    joint ones.
+    nothing in them reaches the wrapped one-state searches, sweeps and MH
+    couplings. Each phase calls them here by the names the tracer wraps in
+    training: a posterior search, sweep and MH coupling on one generator,
+    then the joint three on another.
     """
     check_params, v = training.default_check_model()
     out = []
@@ -51,9 +52,15 @@ def _benchmark_calls():
                       estimator="marginalized", tau_max=100_000)
     stepped, _ = training.train_step(params, rows, cfg, training.rng_for(0, 1, 1))
     out.append(stepped.vec)
-    run, _ = training.positive_phase_run(params, rows[0], 100_000, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    found = training.local_search_posterior(params, rows[0], rng)
+    h0 = training.gibbs_sweep_posterior(params, rows[0], found.state, rng)
+    run = training.mh_couple_posterior(params, rows[0], h0, 100_000, rng)
     out.append(run.x_states[0].concat())
-    run, _ = training.negative_phase_run(params, 100_000, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    found = training.local_search_joint(params, rng)
+    x0 = training.gibbs_sweep_joint(params, found.state, rng, fields=found.fields)
+    run = training.mh_couple_joint(params, x0, 100_000, rng)
     out.append(run.x_states[0].concat())
     out.append(np.array(training.sample(params, 3, mh_steps=2,
                                         rng=np.random.default_rng(1))))

@@ -10,12 +10,12 @@ from spindbm import (DbmParams, DbmShape, DimensionError, GradEstimate, JointSta
                      sample, train, train_step, unbiasedness_report)
 from spindbm import oracle, training
 from spindbm.coupling import CouplingTruncatedError, mh_step
-from spindbm.model import grad_from_rows, uniform_spins
+from spindbm.model import grad_from_rows, uniform_spins, v_share
 from spindbm.search import block_minimize_joint, gibbs_sweep_joint, local_search_joint
 from spindbm.training import (LOG_COLUMNS, AdamOptimizer, SgdOptimizer, gradient_from_states,
                               logistic_draws, random_semi_orthogonal, rng_for)
 
-from conftest import random_params
+from conftest import chain_states, joint_chain, posterior_chain, random_params
 
 
 def nan_at_step_3(monkeypatch):
@@ -115,9 +115,8 @@ class TestPhaseEstimates:
         assert np.all(np.abs(mean[ok] - exact[ok]) <= 4.5 * se[ok])
 
     def test_marginalized_variance_not_larger(self, ortho_params_332):
-        # paired comparison on the same coupled runs, as training builds it
-        from spindbm.training import (_joint_states, _posterior_states, negative_phase_run,
-                                      positive_phase_run)
+        # paired comparison on the same coupled runs, as training builds it:
+        # each draw is a positive, then a negative stage at R = 1 on rng
         params = ortho_params_332
         v = np.array([1.0, -1.0, 1.0])
         rng = rng_for(99, 3)
@@ -125,11 +124,9 @@ class TestPhaseEstimates:
         sums = {k: 0.0 for k in ("plain", "marg")}
         sqs = {k: 0.0 for k in ("plain", "marg")}
         for _ in range(n):
-            prun, _ = positive_phase_run(params, v, 10_000, rng)
-            nrun, _ = negative_phase_run(params, 10_000, rng)
-            posterior, joint = _posterior_states(v, prun, -1.0), _joint_states(nrun, 1.0)
+            rows = training._example_block(params, v[None], 10_000, rng)
             for key, est in (("plain", "plain"), ("marg", "marginalized")):
-                g = gradient_from_states(params, est, posterior, joint).vec
+                g = training._draw_gradients(params, est, rows)[0]
                 sums[key] = sums[key] + g
                 sqs[key] = sqs[key] + g * g
         var = {k: sqs[k] / n - (sums[k] / n) ** 2 for k in sums}
@@ -210,15 +207,15 @@ def _literal_telescope(run, f):
 def _reference_batch_gradient(params, batch, cfg, rng):
     """Per-example sum of per-state outer products over the streams train_step uses.
 
-    Returns (mean gradient over kept examples, dropped, tau > 1 runs,
-    telescoping terms cancelled to zero).
+    Example i runs the one-state phases (posterior_chain, then joint_chain)
+    on the i-th spawned generator. Returns (mean gradient over kept
+    examples, dropped, tau > 1 runs, telescoping terms cancelled to zero).
     """
     from spindbm.coupling import telescope_terms
-    from spindbm.training import negative_phase_run, positive_phase_run
     total, kept, dropped, long_runs, cancelled = 0.0, 0, 0, 0, 0
     for v, sub in zip(batch, rng.spawn(len(batch))):
-        prun, _ = positive_phase_run(params, v, cfg.tau_max, sub)
-        nrun = None if prun.truncated else negative_phase_run(params, cfg.tau_max, sub)[0]
+        prun, _ = posterior_chain(params, v, cfg.tau_max, sub)
+        nrun = None if prun.truncated else joint_chain(params, cfg.tau_max, sub)[0]
         if nrun is None or nrun.truncated:
             dropped += 1
             continue
@@ -286,7 +283,8 @@ class TestBatchGradient:
     @pytest.mark.parametrize("estimator", ["plain", "marginalized"])
     def test_drop_sample_leaves_truncated_positive_run_out(self, estimator):
         # at tau_max = 1 some example's positive run truncates: that example
-        # runs no joint stage, and every other one draws what it draws alone
+        # runs no negative stage, and every other one draws what its R = 1
+        # stages draw alone
         params = random_params(DbmShape(4, 3, 2), seed=3, scale=0.3)
         cfg = TrainConfig(shape=params.shape, estimator=estimator, tau_max=1,
                           truncation_policy="drop_sample")
@@ -302,10 +300,11 @@ class TestBatchGradient:
         assert np.all(rows.tau[cut, 1] == 0) and np.all(rows.steps[cut, 1] == 0)
         assert not np.isin(np.flatnonzero(cut), rows.owner).any()
         for r, alone in enumerate(rng_for(seed, 1).spawn(4)):
-            prun, _ = training.positive_phase_run(params, batch[r], 1, alone)
-            assert prun.truncated == cut[r]
-            if not prun.truncated:
-                training.negative_phase_run(params, 1, alone)
+            V = np.array(batch[r:r + 1])
+            prun, _ = training._positive_rows(params, V, v_share(params, V), 1, alone)
+            assert prun.truncated[0] == cut[r]
+            if not prun.truncated[0]:
+                training._negative_rows(params, 1, 1, alone)
             assert gens[r].random() == alone.random()  # the same draws, and no more
         opt = _Capture()
         _, m = train_step(params, batch, cfg, rng_for(seed, 1), opt)
@@ -316,10 +315,9 @@ class TestBatchGradient:
     @pytest.mark.parametrize("estimator", ["plain", "marginalized"])
     def test_block_step_is_the_per_example_step_bit_for_bit(self, estimator):
         # where every run meets at tau = 1, the block's gradient rows are the
-        # per-example runs' rows in the same order, so the step is the same to
-        # the last bit: the argument that keeps training fingerprints unchanged
-        from spindbm.training import (_joint_states, _posterior_states, negative_phase_run,
-                                      positive_phase_run)
+        # per-example one-state runs' rows in the same order, so the step is the
+        # same to the last bit: the argument that keeps training fingerprints
+        # unchanged
         params = init_params(DbmShape(64, 32, 16), np.random.default_rng(11))
         cfg = TrainConfig(shape=params.shape, estimator=estimator, optimizer="adam",
                           batch_size=4, learning_rate=1e-3)
@@ -328,11 +326,11 @@ class TestBatchGradient:
             got, _ = train_step(params, batch, cfg, rng_for(seed, 1), make_optimizer(cfg))
             posterior, joint = [], []
             for v, sub in zip(batch, rng_for(seed, 1).spawn(4)):
-                prun, _ = positive_phase_run(params, v, cfg.tau_max, sub)
-                nrun, _ = negative_phase_run(params, cfg.tau_max, sub)
+                prun, _ = posterior_chain(params, v, cfg.tau_max, sub)
+                nrun, _ = joint_chain(params, cfg.tau_max, sub)
                 assert prun.tau == nrun.tau == 1
-                posterior += _posterior_states(v, prun, -1.0)
-                joint += _joint_states(nrun, 1.0)
+                posterior += chain_states(prun, -1.0, v)
+                joint += chain_states(nrun, 1.0)
             total = gradient_from_states(params, estimator, posterior, joint, 1.0 / len(batch))
             want = make_optimizer(cfg).update(params, total)
             assert np.array_equal(got.vec, want.vec)
@@ -384,7 +382,7 @@ def test_wrong_visible_length_raises_dimension_error(rng):
     with pytest.raises(DimensionError):
         mean_field_posterior(params, v)
     with pytest.raises(DimensionError):
-        training.positive_phase_run(params, v, 100, rng)
+        positive_phase_estimate(params, v, TrainConfig(shape=params.shape), rng)
     with pytest.raises(DimensionError):
         pcd_step(params, [v], chains, TrainConfig(shape=params.shape), rng)
 
@@ -848,17 +846,16 @@ class TestUnbiasednessReport:
 
     @pytest.mark.parametrize("estimator", training.ESTIMATORS)
     def test_one_draw_block_is_the_one_state_draw(self, ortho_params_332, estimator):
-        # R = 1 draws what positive_phase_run, then negative_phase_run draw
-        # on the same generator, so both give the same gradient
+        # R = 1 draws what the one-state phases, posterior_chain then
+        # joint_chain, draw on the same generator, so both give the same gradient
         v = np.array([1.0, -1.0, 1.0])
         for seed in range(30):
             rows = training._example_block(ortho_params_332, v[None], 10_000, rng_for(seed, 3))
             rng = rng_for(seed, 3)
-            prun, _ = training.positive_phase_run(ortho_params_332, v, 10_000, rng)
-            nrun, _ = training.negative_phase_run(ortho_params_332, 10_000, rng)
-            g = gradient_from_states(ortho_params_332, estimator,
-                                     training._posterior_states(v, prun, -1.0),
-                                     training._joint_states(nrun, 1.0)).vec
+            prun, _ = posterior_chain(ortho_params_332, v, 10_000, rng)
+            nrun, _ = joint_chain(ortho_params_332, 10_000, rng)
+            g = gradient_from_states(ortho_params_332, estimator, chain_states(prun, -1.0, v),
+                                     chain_states(nrun, 1.0)).vec
             got = training._draw_gradients(ortho_params_332, estimator, rows)
             assert got.shape == (1, g.size)
             np.testing.assert_allclose(got[0], g, rtol=0, atol=1e-12)
