@@ -22,7 +22,6 @@ coordinate happens to agree.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,11 +76,6 @@ class RowRuns:
     steps: list
 
 
-def _log(u: np.ndarray) -> np.ndarray:
-    """log of each uniform (-inf at 0), rounded as math.log rounds it."""
-    return np.array([math.log(x) if x > 0.0 else -math.inf for x in u.tolist()])
-
-
 def _mh_chains(params: DbmParams, X0: np.ndarray, n_steps: int, rng: np.random.Generator,
                V=None, c=None, stop_at_meeting: bool = True,
                keep_states: bool = True) -> RowRuns:
@@ -120,7 +114,8 @@ def _mh_chains(params: DbmParams, X0: np.ndarray, n_steps: int, rng: np.random.G
     while t < n_steps:
         P = uniform_spins(X.shape, rng)
         E_p = energy_vhh(params, P[:, :n_v] if joint else V, P[:, n_v:n_vh], P[:, n_vh:], c)
-        log_u = _log(random_rows(rng, (len(rows),)))
+        with np.errstate(divide="ignore"):  # log 0 = -inf: always accept
+            log_u = np.log(random_rows(rng, (len(rows),)))
         move = log_u < E_x - E_p
         if np.count_nonzero(move):
             X, E_x = np.where(move[:, None], P, X), np.where(move, E_p, E_x)
@@ -201,17 +196,14 @@ def mh_couple_joint(params: DbmParams, x0: JointState, tau_max: int,
 
 
 def mh_couple_posterior(params: DbmParams, v: np.ndarray, h0: HiddenState, tau_max: int,
-                        rng: np.random.Generator, keep_states: bool = True,
-                        c=None) -> CoupledRun:
+                        rng: np.random.Generator, keep_states: bool = True) -> CoupledRun:
     """Couple two MH chains on the hidden state with v clamped.
 
     Both acceptance ratios use the joint energy at the clamped v, so the
-    chains target the posterior over (h1, h2). c = model.v_share(v), when
-    given, saves computing it here.
+    chains target the posterior over (h1, h2).
     """
     check_joint(params, v, h0.h1, h0.h2)
-    c = v_share(params, v) if c is None else c
-    runs = _mh_chains(params, h0.concat()[None], tau_max, rng, np.asarray(v)[None], c[None],
+    runs = _mh_chains(params, h0.concat()[None], tau_max, rng, np.asarray(v)[None],
                       keep_states=keep_states)
     return _one_run(params, runs, h0, keep_states)
 

@@ -181,11 +181,6 @@ def _groups(even_first: np.ndarray) -> list:
     return [(True, even_first.nonzero()[0]), (False, (~even_first).nonzero()[0])]
 
 
-def _row_counts(mask: np.ndarray, total: int) -> np.ndarray:
-    """The True entries in each row of an (R, n) mask whose total count is known."""
-    return np.full(1, total) if len(mask) == 1 else mask.sum(axis=1)
-
-
 def block_minimize_joint(params: DbmParams, v, h1, h2, even_first: bool):
     """One full block-minimization pass; returns the new (v, h1, h2).
 
@@ -220,9 +215,10 @@ def _fixed_point(params: DbmParams, V, rng, trace=None, c=None, rows=None) -> Ro
     """Threshold passes from (V, uniform H1, H2) until every row stops changing.
 
     The one local-search loop. It draws H1, H2 and the R block-order coins,
-    then runs every row in one loop (_descend). c and rows are passed on to
-    block_pass; c holds one row per state. trace, for one row only, receives
-    the state after every iteration.
+    allocates the result, and runs every row in one loop (_descend), which
+    writes each row into the result as it leaves. c and rows are passed on
+    to block_pass; c holds one row per state. trace, for one row only,
+    receives the state after every iteration.
     """
     n_h1, n_h2 = params.W2.shape
     R = len(V)
@@ -232,26 +228,15 @@ def _fixed_point(params: DbmParams, V, rng, trace=None, c=None, rows=None) -> Ro
     posterior = c is not None
     if trace is not None:
         trace.append(_state(V[0], H1[0], H2[0], posterior))
-    done = _descend(params, V, H1, H2, even_first, c, rows, trace)
     carry = not (posterior or rows is not None)
-    if len(done) == 1:  # every row stopped together, so all in one order and in place
-        _, it, V_, H1, H2, fields = done[0]
-        return RowSearch(V if posterior else V_, H1, H2, np.full(R, it),
-                         fields if carry else None)
     out = RowSearch(V if posterior else np.empty_like(V), np.empty_like(H1),
                     np.empty_like(H2), np.empty(R, dtype=np.int64),
                     (np.empty_like(V), np.empty_like(H1), np.empty_like(H2)) if carry else None)
-    for idx, it, V_, H1, H2, fields in done:
-        out.steps[idx] = it
-        if not posterior:
-            out.V[idx] = V_
-        out.H1[idx], out.H2[idx] = H1, H2
-        for o, a in zip(out.fields or (), fields):
-            o[idx] = a
+    _descend(params, V, H1, H2, even_first, c, rows, trace, out)
     return out
 
 
-def _descend(params, V, H1, H2, even_first: np.ndarray, c, rows, trace) -> list:
+def _descend(params, V, H1, H2, even_first: np.ndarray, c, rows, trace, out: RowSearch):
     """Threshold half-passes over a block of rows in both block orders.
 
     One loop of half-passes, even, odd, even, and so on. The even-first rows
@@ -268,9 +253,9 @@ def _descend(params, V, H1, H2, even_first: np.ndarray, c, rows, trace) -> list:
     row was computed in full, and it is one block_pass over the rows that
     need it. So each result row is a fixed point of block_pass, and its
     fields are fresh: computed in full, or by the confirming pass. A row
-    that stops changing leaves the loop. Returns the rows in the groups that
-    stopped together: (idx, iterations, V, H1, H2, (A_v, A_h1, A_h2)), idx
-    mapping them to the caller's rows.
+    that stops changing leaves the loop, and its iterations, V, H1, H2 and,
+    when out carries fields, (A_v, A_h1, A_h2) are written into out at
+    idx, its row in the caller's order.
     """
     W1_free = params.W1 if rows is None else rows[1]
     W2 = params.W2
@@ -313,7 +298,6 @@ def _descend(params, V, H1, H2, even_first: np.ndarray, c, rows, trace) -> list:
             A_v[E] = a_v
         even_ok[E] = True
         start = 1
-    done = []
     for k in itertools.count(start):
         odd = k % 2 == 1
         if odd:
@@ -331,7 +315,7 @@ def _descend(params, V, H1, H2, even_first: np.ndarray, c, rows, trace) -> list:
             flip = new != H1
             n = np.count_nonzero(flip)
             if n:
-                n = _row_counts(flip, n)
+                n = flip.sum(axis=1)
                 np.logical_or(moved, n, out=moved)
                 np.logical_and(even_ok, n <= few_h1, out=even_ok)
                 for r in (n.astype(bool) & even_ok).nonzero()[0] if few_h1 else ():
@@ -366,10 +350,10 @@ def _descend(params, V, H1, H2, even_first: np.ndarray, c, rows, trace) -> list:
                 flip_v = v_free != (V if rows is None else V[:, rows[0]])
                 n_v_flips = np.count_nonzero(flip_v)
             if n_v_flips or n_h2_flips:
-                n_h2_flips = _row_counts(flip_h2, n_h2_flips)
+                n_h2_flips = flip_h2.sum(axis=1)
                 few = n_h2_flips <= few_h2
                 if not posterior:
-                    n_v_flips = _row_counts(flip_v, n_v_flips)
+                    n_v_flips = flip_v.sum(axis=1)
                     few &= n_v_flips <= few_v
                 row_moved = np.logical_or(n_v_flips, n_h2_flips)
                 moved |= row_moved
@@ -423,14 +407,19 @@ def _descend(params, V, H1, H2, even_first: np.ndarray, c, rows, trace) -> list:
         if n_moved == hi - lo:
             moved[end] = False
             continue
-        if n_moved == 0 and hi - lo == R:
-            return done + [(idx, it, V, H1, H2, (A_v, A_h1, A_h2))]
         go = np.ones(R, dtype=bool)
         go[end] = moved[end]
         moved[end] = False
         stop, go = (~go).nonzero()[0], go.nonzero()[0]
-        done.append((idx[stop], it, *(pick_rows(a, stop) for a in (V, H1, H2)),
-                     tuple(pick_rows(a, stop) for a in (A_v, A_h1, A_h2))))
+        left = idx[stop]
+        out.steps[left] = it
+        if not posterior:
+            out.V[left] = pick_rows(V, stop)
+        out.H1[left], out.H2[left] = pick_rows(H1, stop), pick_rows(H2, stop)
+        for o, a in zip(out.fields or (), (A_v, A_h1, A_h2)):
+            o[left] = pick_rows(a, stop)
+        if not go.size:
+            return
         idx, moved, even_ok, odd_ok, even_drift, odd_drift = (
             a[go] for a in (idx, moved, even_ok, odd_ok, even_drift, odd_drift))
         V, H1, H2, c, A_v, A_h1, A_h2 = (pick_rows(a, go) for a in (V, H1, H2, c, A_v, A_h1, A_h2))
@@ -473,14 +462,11 @@ def local_search_posterior_rows(params: DbmParams, V: np.ndarray, rng: np.random
 
 
 def local_search_posterior(params: DbmParams, v: np.ndarray, rng: np.random.Generator,
-                           trace: list | None = None, c=None) -> SearchResult:
-    """Block-minimize the posterior energy over (h1, h2) with v clamped.
-
-    c = model.v_share(v), when given, saves computing it here.
-    """
+                           trace: list | None = None) -> SearchResult:
+    """Block-minimize the posterior energy over (h1, h2) with v clamped."""
     check_visible(params, v)
-    c = v_share(params, v) if c is None else c
-    return _one(_fixed_point(params, np.asarray(v)[None], rng, trace, c=c[None]), True)
+    V = np.asarray(v)[None]
+    return _one(_fixed_point(params, V, rng, trace, c=v_share(params, V)), True)
 
 
 def _clamped_start(params: DbmParams, V_observed, observed, rng):
@@ -577,9 +563,9 @@ def gibbs_sweep_posterior_rows(params: DbmParams, V, H1, H2, rng: np.random.Gene
 
 
 def gibbs_sweep_posterior(params: DbmParams, v: np.ndarray, h: HiddenState,
-                          rng: np.random.Generator, c=None) -> HiddenState:
-    """One full Gibbs sweep over (h1, h2) with v clamped; c = model.v_share(v) if given."""
+                          rng: np.random.Generator) -> HiddenState:
+    """One full Gibbs sweep over (h1, h2) with v clamped."""
     check_joint(params, v, h.h1, h.h2)
-    c = v_share(params, v) if c is None else c
-    _, H1, H2 = _sweep(params, np.asarray(v)[None], h.h1[None], h.h2[None], rng, c[None])
+    V = np.asarray(v)[None]
+    _, H1, H2 = _sweep(params, V, h.h1[None], h.h2[None], rng, v_share(params, V))
     return HiddenState(H1[0], H2[0])

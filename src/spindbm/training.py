@@ -289,11 +289,12 @@ def gradient_from_states(params: DbmParams, estimator: str, posterior: list, joi
     return grad_from_rows(*_integrand_rows(params, estimator, V, H1, H2, w, len(posterior)))
 
 
-def _positive_rows(params: DbmParams, V: np.ndarray, c: np.ndarray, tau_max: int, rng):
+def _positive_rows(params: DbmParams, V: np.ndarray, tau_max: int, rng):
     """Posterior couplings from perturbed posterior modes, row r at V[r]: (RowRuns, steps).
 
-    A posterior search, sweep and MH coupling, each passed c = v_share(V).
+    A posterior search, sweep and MH coupling, sharing one c = v_share(V).
     """
+    c = v_share(params, V)
     found = local_search_posterior_rows(params, V, rng, c=c)
     H = np.hstack(gibbs_sweep_posterior_rows(params, V, found.H1, found.H2, rng, c=c))
     return mh_couple_posterior_rows(params, V, H, tau_max, rng, c=c), found.steps
@@ -357,7 +358,7 @@ def _example_block(params: DbmParams, V: np.ndarray, tau_max: int, rng,
     tau = np.zeros((n, 2), dtype=np.int64)
     steps = np.zeros((n, 2), dtype=np.int64)
     truncated = np.zeros((n, 2), dtype=bool)
-    prun, steps[:, 0] = _positive_rows(params, V, v_share(params, V), tau_max, rng)
+    prun, steps[:, 0] = _positive_rows(params, V, tau_max, rng)
     tau[:, 0], truncated[:, 0] = prun.tau, prun.truncated
     if not drop and prun.truncated.any():
         raise CouplingTruncatedError("a positive-phase coupling was truncated")
@@ -410,7 +411,7 @@ def positive_phase_estimate(params: DbmParams, v: np.ndarray, cfg: TrainConfig,
     """Unbiased estimate of E[grad E(v, h)] under the posterior: (g, tau, T), at R = 1."""
     check_visible(params, v)
     V = np.asarray(v, dtype=np.float64)[None]
-    run, steps = _positive_rows(params, V, v_share(params, V), cfg.tau_max, rng)
+    run, steps = _positive_rows(params, V, cfg.tau_max, rng)
     return _stage_estimate(params, cfg.estimator, run, steps, V[0])
 
 

@@ -11,6 +11,14 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def state_counts(X):
+    """How often each state occurs among the rows of X, indexed as oracle.state_index
+    indexes one state."""
+    n = X.shape[1]
+    return np.bincount((X > 0).astype(np.int64) @ (np.int64(1) << np.arange(n)),
+                       minlength=2 ** n)
+
+
 def random_params(shape, seed=0, scale=1.0):
     """Dense Gaussian parameters (not orthogonal); handy for generic checks."""
     r = np.random.default_rng(seed)

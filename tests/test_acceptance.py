@@ -19,12 +19,13 @@ from spindbm.bench import BenchArm, run_coupling_sweep
 from spindbm.cli import main as cli_main
 from spindbm.data import synthetic_patterns
 from spindbm.model import energy_vhh
-from spindbm.oracle import state_index
-from spindbm.search import block_minimize_joint, gibbs_sweep_joint, local_search_joint
+from spindbm.coupling import _mh_chains
+from spindbm.search import (block_minimize_joint, gibbs_sweep_joint_rows, local_search_joint,
+                            local_search_joint_rows)
 from spindbm.training import (DRAW_BLOCK, ESTIMATORS, TrainConfig, _draw_gradients,
                               _example_block, gradient_from_states, rng_for)
 
-from conftest import enumerated_states, random_params, summed_out_energy
+from conftest import enumerated_states, random_params, state_counts, summed_out_energy
 
 
 # the sweeps' records do not depend on the worker count (test_threads_do_not_change_records)
@@ -194,24 +195,21 @@ def test_criterion_05_gradient_correctness():
               f"worst relative deviation {worst:.2e}")
 
 
-@pytest.mark.slow
 def test_criterion_06_coupling_faithfulness():
-    # empirical laws of x_t and y_t agree within TV 0.02 at t = 1, 2, 3
+    # empirical laws of x_t and y_t agree within TV 0.02 at t = 1, 2, 3, over
+    # n independent trajectories run as one row block: search, sweep, then
+    # 4 coupled MH steps that ignore meetings
     params = random_params(sd.DbmShape(3, 3, 2), seed=11)
     n = 100_000
     rng = rng_for(66, 1)
-    counts_x = np.zeros((4, 256))
-    counts_y = np.zeros((4, 256))
-    for _ in range(n):
-        sr = local_search_joint(params, rng)
-        x0 = gibbs_sweep_joint(params, sr.state, rng)
-        xs, ys = sd.mh_coupled_trajectory(params, x0, 4, rng)
-        for t in (1, 2, 3):
-            counts_x[t, state_index(xs[t].concat())] += 1
-            counts_y[t, state_index(ys[t].concat())] += 1
+    found = local_search_joint_rows(params, n, rng)
+    X0 = np.hstack(gibbs_sweep_joint_rows(params, found.V, found.H1, found.H2, rng))
+    steps = _mh_chains(params, X0, 4, rng, stop_at_meeting=False).steps
     tvs = {}
     for t in (1, 2, 3):
-        tvs[t] = float(0.5 * np.abs(counts_x[t] - counts_y[t]).sum() / n)
+        # x_t is the X of steps[t - 1], y_t the Y of steps[t]
+        tvs[t] = float(0.5 * np.abs(state_counts(steps[t - 1][1])
+                                    - state_counts(steps[t][2])).sum() / n)
         assert tvs[t] < 0.02, tvs
     report(6, f"TV(x_t, y_t) over {n} runs: " +
               ", ".join(f"t={t}: {tvs[t]:.4f}" for t in (1, 2, 3)))

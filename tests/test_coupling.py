@@ -6,12 +6,13 @@ from spindbm import (CoupledRun, CouplingTruncatedError, DbmParams, DbmShape,
                      gibbs_couple_joint, mh_couple_joint,
                      mh_couple_posterior, mh_coupled_trajectory, mh_step,
                      telescope_estimate, uniform_spins)
+from spindbm.coupling import _mh_chains
 from spindbm.model import grad_energy_vhh
 from spindbm.oracle import spin_table, state_index
 from spindbm.search import gibbs_sweep_joint, local_search_joint
 from spindbm.training import init_params
 
-from conftest import random_params
+from conftest import random_params, state_counts
 
 
 def random_state(shape, rng):
@@ -248,20 +249,17 @@ class TestTelescope:
 
 class TestMhStep:
     def test_stationarity_empirically(self, rng):
-        # single-chain kernel preserves the exact distribution: push one exact
-        # sample forward and compare against the exact law
+        # single-chain kernel preserves the exact distribution: move n exact
+        # samples one step as one block, the move sample makes, and compare
+        # against the exact law
         from spindbm import enumerate_joint
         params = random_params(DbmShape(2, 2, 1), seed=3)
         dist = enumerate_joint(params)
         n = 200_000
         idx = rng.choice(len(dist.probabilities), size=n, p=dist.probabilities)
-        counts = np.zeros(len(dist.probabilities))
-        table = spin_table(params.shape.total)
-        for i in idx:
-            x = JointState(table[i, :2], table[i, 2:4], table[i, 4:])
-            y = mh_step(params, x, rng)
-            counts[state_index(y.concat())] += 1
-        tv = 0.5 * np.abs(counts / n - dist.probabilities).sum()
+        X = spin_table(params.shape.total)[idx]
+        Y = _mh_chains(params, X, 1, rng, stop_at_meeting=False).steps[0][1]
+        tv = 0.5 * np.abs(state_counts(Y) / n - dist.probabilities).sum()
         assert tv < 0.02
 
     def test_rejects_nonspin_state(self, rng):

@@ -25,7 +25,6 @@ from spindbm import (DbmShape, HiddenState, JointState, TrainConfig,
                      mh_coupled_trajectory, mh_step, run_coupling_sweep, sample,
                      train, uniform_spins)
 from spindbm.data import synthetic_patterns
-from spindbm.model import v_share
 from spindbm.training import _negative_rows, _positive_rows
 
 from conftest import random_params
@@ -205,7 +204,7 @@ def g_positive_phase_run(d):
         for tau_max in (1, 3, 10_000):
             for _ in range(10):
                 V = uniform_spins((1, s.n_v), rng)
-                runs, steps = _positive_rows(params, V, v_share(params, V), tau_max, rng)
+                runs, steps = _positive_rows(params, V, tau_max, rng)
                 d.ints(steps[0])
                 d.row_run(runs, (s.n_h1, s.n_h2))
 

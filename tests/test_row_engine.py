@@ -10,6 +10,8 @@ row r's generator; and training's stages at R = 1 must equal the one-state
 chain of search, sweep and MH coupling.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,8 @@ from spindbm import (DbmShape, HiddenState, JointState, block_minimize_joint,
 from spindbm.coupling import (CoupledRun, CouplingTruncatedError, RowRuns,
                               mh_couple_joint_rows, mh_couple_posterior_rows,
                               telescope_rows)
-from spindbm.model import DrawnStream, v_field, v_share
+from spindbm.model import DrawnStream, energy_vhh, v_field, v_share
+from spindbm.oracle import spin_table
 from spindbm.search import (default_max_iterations, gibbs_sweep_joint_rows,
                             gibbs_sweep_posterior_rows, local_search_clamped_rows,
                             local_search_joint_rows, local_search_posterior_rows)
@@ -230,6 +233,24 @@ class TestMhRows:
                 assert coefs[mine].sum() == 1.0
                 assert {a.tobytes(): c for a, c in zip(states[mine], coefs[mine])} == expected
 
+    def test_zero_uniform_accepts_without_warning(self):
+        # log 0 = -inf is below every energy difference, so u = 0 accepts even
+        # a proposal that the smallest positive uniform rejects, and taking
+        # that log raises no RuntimeWarning
+        params = random_params(DbmShape(3, 3, 2), seed=8, scale=50.0)
+        table = spin_table(params.shape.total)
+        E = energy_vhh(params, table[:, :3], table[:, 3:6], table[:, 6:])
+        best, worst = table[E.argmin()], table[E.argmax()]
+        tiny = 5e-324  # the smallest positive double
+        assert E.min() - E.max() < np.log(tiny)
+        X0 = np.stack([best, best])
+        proposal = np.where(np.stack([worst, worst]) > 0, 0.25, 0.75)  # uniform_spins' draw
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = mh_couple_joint_rows(params, X0, 1, Replay(proposal, np.array([0.0, tiny])))
+        _, X, _ = runs.steps[0]
+        assert np.array_equal(X[0], worst) and np.array_equal(X[1], best)
+
     def test_truncated_rows_raise(self):
         params = random_params(DbmShape(3, 3, 2), seed=8)
         rng = np.random.default_rng(10)
@@ -407,7 +428,7 @@ class TestRowStreams:
                 stage, ref = (np.random.default_rng([1300 + i, k]) for _ in range(2))
                 V = v[None]
                 for (runs, steps), (run, ref_steps) in (
-                        (_positive_rows(params, V, v_share(params, V), tau_max, stage),
+                        (_positive_rows(params, V, tau_max, stage),
                          posterior_chain(params, v, tau_max, ref)),
                         (_negative_rows(params, 1, tau_max, stage),
                          joint_chain(params, tau_max, ref))):
@@ -438,8 +459,7 @@ class TestRowStreams:
             block = _example_block(params, V, tau_max, gens, "drop_sample")
             ones = _gens(1100 + i, R)
             for r, g in enumerate(ones):
-                prun, t_p = _positive_rows(params, V[r:r + 1], v_share(params, V[r:r + 1]),
-                                           tau_max, g)
+                prun, t_p = _positive_rows(params, V[r:r + 1], tau_max, g)
                 assert (block.tau[r, 0], block.steps[r, 0]) == (prun.tau[0], t_p[0])
                 assert block.truncated[r, 0] == prun.truncated[0]
                 mine = block.owner == r

@@ -11,11 +11,11 @@ from spindbm import (DbmParams, DbmShape, DimensionError, HiddenState, JointStat
                      local_search_posterior, uniform_spins)
 from spindbm import search
 from spindbm.model import energy_vhh, h1_field, h2_field, v_field
-from spindbm.oracle import spin_table, state_index
 from spindbm.search import (SearchDivergenceError, SearchResult, _spins,
-                            default_max_iterations)
+                            default_max_iterations, gibbs_sweep_joint_rows,
+                            gibbs_sweep_posterior_rows)
 
-from conftest import random_params
+from conftest import random_params, state_counts
 
 
 def bias_only_params(shape, b=1.0):
@@ -205,18 +205,21 @@ class TestGibbsSweeps:
         mean = acc / n
         assert np.all(np.abs(mean) < 4.0 / np.sqrt(n))
 
-    @pytest.mark.slow
     def test_long_chain_matches_boltzmann(self, rng):
-        # total-variation agreement with the enumerated distribution
+        # total-variation agreement with the enumerated distribution over 10^6
+        # states. They come from 1000 independent chains of 1000 sweeps each,
+        # counted after a burn-in of 20 sweeps, not from one chain of 10^6
+        # sweeps: a different statistic, with the same N and threshold
         params = random_params(DbmShape(2, 2, 1), seed=5, scale=0.8)
         exact = enumerate_joint(params).probabilities
+        chains, sweeps, burn_in = 1000, 1000, 20
+        V, H1, H2 = (uniform_spins((chains, n), rng) for n in (2, 2, 1))
         counts = np.zeros(2 ** 5)
-        x = JointState(uniform_spins(2, rng), uniform_spins(2, rng), uniform_spins(1, rng))
-        n = 1_000_000
-        for _ in range(n):
-            x = gibbs_sweep_joint(params, x, rng)
-            counts[state_index(x.concat())] += 1
-        tv = 0.5 * np.abs(counts / n - exact).sum()
+        for t in range(burn_in + sweeps):
+            V, H1, H2 = gibbs_sweep_joint_rows(params, V, H1, H2, rng)
+            if t >= burn_in:
+                counts += state_counts(np.hstack([V, H1, H2]))
+        tv = 0.5 * np.abs(counts / (chains * sweeps) - exact).sum()
         assert tv < 0.02
 
     def test_posterior_sweep_never_touches_v(self, rng):
@@ -229,17 +232,22 @@ class TestGibbsSweeps:
             assert set(np.unique(h.h1)) <= {-1.0, 1.0}
 
     def test_posterior_sweep_matches_exact_posterior(self, rng):
-        from spindbm import HiddenState, enumerate_posterior
+        # 3 * 10^5 states from 1000 independent chains of 300 sweeps each,
+        # counted after a burn-in of 20 sweeps, not from one chain of 3 * 10^5
+        # sweeps: a different statistic, with the same N and threshold
+        from spindbm import enumerate_posterior
         params = random_params(DbmShape(2, 2, 1), seed=9, scale=0.8)
         v = np.array([1.0, -1.0])
         exact = enumerate_posterior(params, v).probabilities
+        chains, sweeps, burn_in = 1000, 300, 20
+        V = np.broadcast_to(v, (chains, 2))
+        H1, H2 = uniform_spins((chains, 2), rng), uniform_spins((chains, 1), rng)
         counts = np.zeros(2 ** 3)
-        h = HiddenState(uniform_spins(2, rng), uniform_spins(1, rng))
-        n = 300_000
-        for _ in range(n):
-            h = gibbs_sweep_posterior(params, v, h, rng)
-            counts[state_index(h.concat())] += 1
-        tv = 0.5 * np.abs(counts / n - exact).sum()
+        for t in range(burn_in + sweeps):
+            H1, H2 = gibbs_sweep_posterior_rows(params, V, H1, H2, rng)
+            if t >= burn_in:
+                counts += state_counts(np.hstack([H1, H2]))
+        tv = 0.5 * np.abs(counts / (chains * sweeps) - exact).sum()
         assert tv < 0.02
 
 

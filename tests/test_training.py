@@ -10,7 +10,7 @@ from spindbm import (DbmParams, DbmShape, DimensionError, GradEstimate, JointSta
                      sample, train, train_step, unbiasedness_report)
 from spindbm import oracle, training
 from spindbm.coupling import CouplingTruncatedError, mh_step
-from spindbm.model import grad_from_rows, uniform_spins, v_share
+from spindbm.model import grad_from_rows, uniform_spins
 from spindbm.search import block_minimize_joint, gibbs_sweep_joint, local_search_joint
 from spindbm.training import (LOG_COLUMNS, AdamOptimizer, SgdOptimizer, gradient_from_states,
                               logistic_draws, random_semi_orthogonal, rng_for)
@@ -301,7 +301,7 @@ class TestBatchGradient:
         assert not np.isin(np.flatnonzero(cut), rows.owner).any()
         for r, alone in enumerate(rng_for(seed, 1).spawn(4)):
             V = np.array(batch[r:r + 1])
-            prun, _ = training._positive_rows(params, V, v_share(params, V), 1, alone)
+            prun, _ = training._positive_rows(params, V, 1, alone)
             assert prun.truncated[0] == cut[r]
             if not prun.truncated[0]:
                 training._negative_rows(params, 1, 1, alone)
