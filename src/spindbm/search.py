@@ -16,17 +16,18 @@ at the fixed point, and the sweep that follows it sets its first block
 from them.
 
 The engine is row-stacked: the *_rows functions take R independent states
-as (R, n) arrays. A search runs all its rows in one loop of half-passes,
-even, odd, even, and so on, in which each row keeps the phase of its own
-block order: the odd-first rows join at the first odd half-pass, so each
-half-pass sets the same block in every row and makes one product for all
-of them. Each row keeps its own flags for which fields it carries and its
-own iteration count, and leaves the search once it reaches its fixed
-point. The one-state functions are
-the R = 1 case and draw the same numbers from rng as R = 1 rows do. rng
-is one generator, which draws each stage's numbers for all rows at once,
-or a sequence of one generator per row, from which row r draws exactly
-what a one-state call draws from it (model.random_rows).
+as (R, n) arrays. A search is one loop of half-passes over all its rows,
+k = 0, 1, 2, ...: even, odd, even, and so on, in which each row keeps the
+phase of its own block order. Half-pass k = 0 sets the even-first rows
+alone; the odd-first rows join at k = 1. So each half-pass sets the same
+block in every row it covers and makes one product for all of them. Each
+row keeps its own flags for which fields it carries and its own
+iteration count, and leaves the search once it reaches its fixed point.
+The one-state functions are the R = 1 case and draw the same numbers from
+rng as R = 1 rows do. rng is one generator, which draws each stage's
+numbers for all rows at once, or a sequence of one generator per row,
+from which row r draws exactly what a one-state call draws from it
+(model.random_rows).
 
 Sign convention: sgn(0) = +1 everywhere.
 """
@@ -212,38 +213,14 @@ _COLUMN_SHARE = 32
 
 
 def _fixed_point(params: DbmParams, V, rng, trace=None, c=None, rows=None) -> RowSearch:
-    """Threshold passes from (V, uniform H1, H2) until every row stops changing.
+    """Threshold half-passes from (V, uniform H1, H2) until every row stops changing.
 
-    The one local-search loop. It draws H1, H2 and the R block-order coins,
-    allocates the result, and runs every row in one loop (_descend), which
-    writes each row into the result as it leaves. c and rows are passed on
-    to block_pass; c holds one row per state. trace, for one row only,
-    receives the state after every iteration.
-    """
-    n_h1, n_h2 = params.W2.shape
-    R = len(V)
-    H1 = uniform_spins((R, n_h1), rng)
-    H2 = uniform_spins((R, n_h2), rng)
-    even_first = random_rows(rng, (R,)) < 0.5
-    posterior = c is not None
-    if trace is not None:
-        trace.append(_state(V[0], H1[0], H2[0], posterior))
-    carry = not (posterior or rows is not None)
-    out = RowSearch(V if posterior else np.empty_like(V), np.empty_like(H1),
-                    np.empty_like(H2), np.empty(R, dtype=np.int64),
-                    (np.empty_like(V), np.empty_like(H1), np.empty_like(H2)) if carry else None)
-    _descend(params, V, H1, H2, even_first, c, rows, trace, out)
-    return out
-
-
-def _descend(params, V, H1, H2, even_first: np.ndarray, c, rows, trace, out: RowSearch):
-    """Threshold half-passes over a block of rows in both block orders.
-
-    One loop of half-passes, even, odd, even, and so on. The even-first rows
-    take every one; the odd-first rows join at the first odd half-pass. A
-    row's iteration is two half-passes in its own block order, so the
-    even-first rows end theirs after odd half-passes and the odd-first rows
-    after even ones, each row with its own moved flag and iteration count.
+    It draws H1, H2 and the R block-order coins, sorts the even-first rows
+    first, and runs one loop of half-passes k = 0, 1, 2, ...: even, odd,
+    even, and so on. The even-first rows take every one and k = 0 alone; the
+    odd-first rows join at k = 1. A row's iteration is two half-passes in
+    its own block order, so the even-first rows end theirs after odd
+    half-passes and the odd-first rows after even ones (none at k = 0).
     Each half-pass computes its block's fields with one product over all
     the rows that need them in full. Each row's fields are kept across
     half-passes and updated from the units that flipped in it. Such updates
@@ -254,153 +231,145 @@ def _descend(params, V, H1, H2, even_first: np.ndarray, c, rows, trace, out: Row
     need it. So each result row is a fixed point of block_pass, and its
     fields are fresh: computed in full, or by the confirming pass. A row
     that stops changing leaves the loop, and its iterations, V, H1, H2 and,
-    when out carries fields, (A_v, A_h1, A_h2) are written into out at
-    idx, its row in the caller's order.
+    for a joint search, (A_v, A_h1, A_h2) go to its row of the result, in
+    the caller's order. c and rows are passed on to block_pass (c holds one
+    row per state). trace, for one row only, receives a copy of the state
+    after every iteration.
     """
     W1_free = params.W1 if rows is None else rows[1]
-    W2 = params.W2
-    n_v = params.W1.shape[0]
-    n_h1, n_h2 = W2.shape
+    n_v, n_h1, n_h2 = params.sizes
     # the most units that may flip in a block for the other block's fields
     # to be updated rather than recomputed (0: always recomputed)
     few_h1, few_v, few_h2 = n_h1 // _COLUMN_SHARE, n_v // _ROW_SHARE, n_h2 // _ROW_SHARE
     cap = default_max_iterations(params)
     posterior = c is not None
-    R = len(H1)
-    idx = np.arange(R)
+    R = len(V)
+    H1 = uniform_spins((R, n_h1), rng)
+    H2 = uniform_spins((R, n_h2), rng)
+    even_first = random_rows(rng, (R,)) < 0.5
+    if trace is not None:
+        trace.append(_state(V[0].copy(), H1[0].copy(), H2[0].copy(), posterior))
+    out = RowSearch(V if posterior else np.empty_like(V), np.empty_like(H1),
+                    np.empty_like(H2), np.empty(R, dtype=np.int64),
+                    None if posterior or rows is not None else
+                    (np.empty_like(V), np.empty_like(H1), np.empty_like(H2)))
+    idx = np.arange(R)  # each row's row in the caller's order
     n_even = int(np.count_nonzero(even_first))  # the even-first rows are rows :n_even
-    A_v = A_h1 = A_h2 = None
-    even_ok = np.zeros(R, dtype=bool)  # the row's even fields match its odd block
-    odd_ok = np.zeros(R, dtype=bool)
-    even_drift = np.zeros(R, dtype=bool)  # the row's fields hold updates from flipped units
-    odd_drift = np.zeros(R, dtype=bool)
-    drifted = False  # some row's fields were ever updated
-    moved = np.zeros(R, dtype=bool)  # the row flipped a unit in its current iteration
-    start = 0 if n_even else 1
     if 0 < n_even < R:
-        # both orders: sort the even-first rows first, and give them alone
-        # the first, even half-pass (no row carries fields yet)
         idx = np.argsort(~even_first, kind="stable")
         V, H1, H2, c = (pick_rows(a, idx) for a in (V, H1, H2, c))
-        E = slice(0, n_even)
-        A_h2 = np.empty_like(H2)
-        A_h2[E] = h2_field(params, H1[E])
-        h2_new = _spins(A_h2[E], None)
-        moved[E] = (h2_new != H2[E]).any(axis=1)
-        H2[E] = h2_new
-        if not posterior:
-            a_v = v_field(params, H1[E], rows)
-            v_free = _spins(a_v, None)
-            free = slice(None) if rows is None else rows[0]
-            moved[E] |= (v_free != V[E, free]).any(axis=1)
-            V[E, free] = v_free
-            A_v = np.empty((R, a_v.shape[1]))
-            A_v[E] = a_v
-        even_ok[E] = True
-        start = 1
-    for k in itertools.count(start):
-        odd = k % 2 == 1
-        if odd:
-            n_ok = np.count_nonzero(odd_ok)
-            if n_ok == 0:
-                A_h1 = h1_field(params, V, H2, c)
-                odd_ok[:] = True
-                if drifted:
-                    odd_drift[:] = False
-            elif n_ok < R:
-                J = (~odd_ok).nonzero()[0]
-                A_h1[J] = h1_field(params, pick_rows(V, J), pick_rows(H2, J), pick_rows(c, J))
-                odd_ok[J], odd_drift[J] = True, False
-            new = _spins(A_h1, None)
+    A = [None, None, None]  # the rows' fields (A_v, A_h1, A_h2), allocated when first set
+    # for the block b a half-pass sets (0 even, 1 odd): ok[b], the row's fields
+    # that set b match the other block; drift[b], they hold updates from flips
+    ok = [np.zeros(R, dtype=bool), np.zeros(R, dtype=bool)]
+    drift = [np.zeros(R, dtype=bool), np.zeros(R, dtype=bool)]
+    drifted = False  # some row's fields were ever updated
+    moved = np.zeros(R, dtype=bool)  # the row flipped a unit in its current iteration
+    for k in itertools.count(0 if n_even else 1):
+        b = k % 2  # the block this half-pass sets
+        n = n_even if k == 0 else R  # the half-pass sets rows :n
+        n_ok = np.count_nonzero(ok[b])
+        if n_ok < R:
+            # recompute the stale fields that set block b: rows :n's when no row
+            # holds them (rebound when that is all R rows), else rows J's
+            J = (~ok[b]).nonzero()[0] if n_ok else slice(0, n)
+            if b:
+                a_J = ((1, h1_field(params, pick_rows(V, J), pick_rows(H2, J), pick_rows(c, J))),)
+            else:
+                H1_J = pick_rows(H1, J)
+                a_J = ((2, h2_field(params, H1_J)),) if posterior else (
+                    (0, v_field(params, H1_J, rows)), (2, h2_field(params, H1_J)))
+            for i, a in a_J:
+                if not n_ok and n == R:
+                    A[i] = a
+                else:
+                    if A[i] is None:  # k = 0 in a block of both orders
+                        A[i] = np.empty((R, a.shape[1]))
+                    A[i][J] = a
+            ok[b][J] = True
+            if drifted:
+                drift[b][J] = False
+        if b:
+            new = _spins(A[1], None)
             flip = new != H1
-            n = np.count_nonzero(flip)
-            if n:
-                n = flip.sum(axis=1)
-                np.logical_or(moved, n, out=moved)
-                np.logical_and(even_ok, n <= few_h1, out=even_ok)
-                for r in (n.astype(bool) & even_ok).nonzero()[0] if few_h1 else ():
+            n_flips = np.count_nonzero(flip)
+            if n_flips:
+                n_flips = flip.sum(axis=1)
+                np.logical_or(moved, n_flips, out=moved)
+                np.logical_and(ok[0], n_flips <= few_h1, out=ok[0])
+                for r in (n_flips.astype(bool) & ok[0]).nonzero()[0] if few_h1 else ():
                     t = flip[r].nonzero()[0]
                     d = 2.0 * new[r, t]
                     if not posterior:
-                        A_v[r] += W1_free[:, t] @ d
-                    A_h2[r] += d @ W2[t]
-                    even_drift[r] = drifted = True
+                        A[0][r] += W1_free[:, t] @ d
+                    A[2][r] += d @ params.W2[t]
+                    drift[0][r] = drifted = True
                 H1 = new
         else:
-            n_ok = np.count_nonzero(even_ok)
-            if n_ok == 0:
-                A_v = None if posterior else v_field(params, H1, rows)
-                A_h2 = h2_field(params, H1)
-                even_ok[:] = True
-                if drifted:
-                    even_drift[:] = False
-            elif n_ok < R:
-                J = (~even_ok).nonzero()[0]
-                H1_J = pick_rows(H1, J)
-                if not posterior:
-                    A_v[J] = v_field(params, H1_J, rows)
-                A_h2[J] = h2_field(params, H1_J)
-                even_ok[J], even_drift[J] = True, False
+            # rows :n, as views at k = 0 in a block of both orders
+            V_n, H2_n, A_v, A_h2, moved_n, ok_n = (
+                (V, H2, A[0], A[2], moved, ok[1]) if n == R else
+                (V[:n], H2[:n], pick_rows(A[0], slice(0, n)), A[2][:n], moved[:n], ok[1][:n]))
             h2_new = _spins(A_h2, None)
-            flip_h2 = h2_new != H2
+            flip_h2 = h2_new != H2_n
             n_h2_flips = np.count_nonzero(flip_h2)
             n_v_flips = 0
             if not posterior:
-                v_free = _spins(A_v, None)
-                flip_v = v_free != (V if rows is None else V[:, rows[0]])
+                v_new = _spins(A_v, None)
+                flip_v = v_new != (V_n if rows is None else V_n[:, rows[0]])
                 n_v_flips = np.count_nonzero(flip_v)
             if n_v_flips or n_h2_flips:
                 n_h2_flips = flip_h2.sum(axis=1)
-                few = n_h2_flips <= few_h2
                 if not posterior:
                     n_v_flips = flip_v.sum(axis=1)
-                    few &= n_v_flips <= few_v
                 row_moved = np.logical_or(n_v_flips, n_h2_flips)
-                moved |= row_moved
-                odd_ok &= few
-                for r in (row_moved & odd_ok).nonzero()[0] if few_v or few_h2 else ():
+                moved_n |= row_moved
+                if k:  # at k = 0 no row holds odd fields yet
+                    ok_n &= n_h2_flips <= few_h2
+                    if not posterior:
+                        ok_n &= n_v_flips <= few_v
+                for r in (row_moved & ok_n).nonzero()[0] if k and (few_v or few_h2) else ():
                     if not posterior and n_v_flips[r]:
                         s = flip_v[r].nonzero()[0]
-                        A_h1[r] += (2.0 * v_free[r, s]) @ W1_free[s]
+                        A[1][r] += (2.0 * v_new[r, s]) @ W1_free[s]
                     if n_h2_flips[r]:
                         q = flip_h2[r].nonzero()[0]
-                        A_h1[r] += W2[:, q] @ (2.0 * h2_new[r, q])
-                    odd_drift[r] = drifted = True
+                        A[1][r] += params.W2[:, q] @ (2.0 * h2_new[r, q])
+                    drift[1][r] = drifted = True
                 if not posterior:
-                    V = _set_free(V, v_free, rows)
-                H2 = h2_new
+                    V_n = _set_free(V_n, v_new, rows)
+                if n == R:
+                    V, H2 = V_n, h2_new
+                else:  # k = 0 in a block of both orders: write the even-first rows in place
+                    V[:n], H2[:n] = V_n, h2_new
         # the rows whose iteration ends here, rows lo:hi: the even-first rows
         # after an odd half-pass, the odd-first rows after an even one
-        lo, hi = (0, n_even) if odd else (n_even, R)
+        lo, hi = (0, n_even) if b else (n_even, n)
         if lo == hi:
             continue
         end = slice(lo, hi)
         it = (k + 1) // 2
         if drifted:
-            J = (~moved[end] & (even_drift[end] | odd_drift[end])).nonzero()[0]
+            J = (~moved[end] & (drift[0][end] | drift[1][end])).nonzero()[0] + lo
             if J.size:
-                if lo:
-                    J += lo
                 x = V[J], H1[J], H2[J]
-                v_x, h1_x, h2_x, fresh = block_pass(params, *x, odd, _THRESHOLD, pick_rows(c, J),
-                                                    rows)
+                v_x, h1_x, h2_x, fresh = block_pass(params, *x, b == 1, _THRESHOLD,
+                                                    pick_rows(c, J), rows)
                 same = (h1_x == x[1]).all(axis=1) & (h2_x == x[2]).all(axis=1)
                 if not posterior:
                     same &= (v_x == x[0]).all(axis=1)
                 kept, changed = J[same], J[~same]
-                if not posterior:
-                    A_v[kept] = fresh[0][same]
-                A_h1[kept], A_h2[kept] = fresh[1][same], fresh[2][same]
+                for a, a_x in zip(A, fresh):
+                    if a is not None:  # A_v is None in a posterior search
+                        a[kept] = a_x[same]
                 if changed.size:
                     moved[changed] = True
                     if not posterior:
-                        V = V.copy()
                         V[changed] = v_x[~same]
-                    H1, H2 = H1.copy(), H2.copy()
                     H1[changed], H2[changed] = h1_x[~same], h2_x[~same]
-                    even_ok[changed] = odd_ok[changed] = False
+                    ok[0][changed] = ok[1][changed] = False
         if trace is not None:
-            trace.append(_state(V[0], H1[0], H2[0], posterior))
+            trace.append(_state(V[0].copy(), H1[0].copy(), H2[0].copy(), posterior))
         n_moved = np.count_nonzero(moved[end])
         if n_moved and it == cap:
             raise SearchDivergenceError(f"no fixed point within {cap} iterations")
@@ -416,15 +385,14 @@ def _descend(params, V, H1, H2, even_first: np.ndarray, c, rows, trace, out: Row
         if not posterior:
             out.V[left] = pick_rows(V, stop)
         out.H1[left], out.H2[left] = pick_rows(H1, stop), pick_rows(H2, stop)
-        for o, a in zip(out.fields or (), (A_v, A_h1, A_h2)):
+        for o, a in zip(out.fields or (), A):
             o[left] = pick_rows(a, stop)
         if not go.size:
-            return
-        idx, moved, even_ok, odd_ok, even_drift, odd_drift = (
-            a[go] for a in (idx, moved, even_ok, odd_ok, even_drift, odd_drift))
-        V, H1, H2, c, A_v, A_h1, A_h2 = (pick_rows(a, go) for a in (V, H1, H2, c, A_v, A_h1, A_h2))
+            return out
+        idx, moved, ok[0], ok[1], drift[0], drift[1] = (a[go] for a in (idx, moved, *ok, *drift))
+        V, H1, H2, c, A[0], A[1], A[2] = (pick_rows(a, go) for a in (V, H1, H2, c, *A))
         R = len(H1)
-        if odd:
+        if b:
             n_even -= hi - lo - n_moved
 
 
@@ -471,6 +439,7 @@ def local_search_posterior(params: DbmParams, v: np.ndarray, rng: np.random.Gene
 
 def _clamped_start(params: DbmParams, V_observed, observed, rng):
     """(V, rows): uniform spins on the unobserved units, and block_pass's free rows."""
+    check_visible(params, V_observed)
     s = params.shape
     observed = np.asarray(observed, dtype=bool)
     if observed.shape != (s.n_v,):

@@ -20,14 +20,16 @@ from spindbm import (DbmShape, HiddenState, JointState, block_minimize_joint,
                      init_params, local_search_clamped, local_search_joint,
                      local_search_posterior, mh_couple_joint, mh_couple_posterior,
                      telescope_terms, uniform_spins)
+from spindbm import search
 from spindbm.coupling import (CoupledRun, CouplingTruncatedError, RowRuns,
                               mh_couple_joint_rows, mh_couple_posterior_rows,
                               telescope_rows)
 from spindbm.model import DrawnStream, energy_vhh, v_field, v_share
 from spindbm.oracle import spin_table
-from spindbm.search import (default_max_iterations, gibbs_sweep_joint_rows,
-                            gibbs_sweep_posterior_rows, local_search_clamped_rows,
-                            local_search_joint_rows, local_search_posterior_rows)
+from spindbm.search import (SearchDivergenceError, default_max_iterations,
+                            gibbs_sweep_joint_rows, gibbs_sweep_posterior_rows,
+                            local_search_clamped_rows, local_search_joint_rows,
+                            local_search_posterior_rows)
 from spindbm.training import _example_block, _negative_rows, _positive_rows
 
 from conftest import joint_chain, posterior_chain, random_params
@@ -71,16 +73,21 @@ def _same_state(a, b):
 
 
 class TestSearchRows:
+    @pytest.mark.parametrize("orders", ["mixed", "even-first", "odd-first"])
     @pytest.mark.parametrize("kind", ["joint", "posterior", "clamped"])
-    def test_each_row_is_its_one_state_search(self, kind):
+    def test_each_row_is_its_one_state_search(self, kind, orders):
         for i, params in enumerate(_models()):
             s = params.shape
             rng = np.random.default_rng(i)
             V = uniform_spins((R, s.n_v), rng)
             observed = np.arange(s.n_v) < s.n_v // 2
             draws = _search_draws(rng, params, kind != "posterior")
-            even_first = draws[-1] < 0.5  # the block holds rows of both orders
-            assert even_first.any() and not even_first.all()
+            # the coin row: the block holds rows of both orders, or of one
+            draws[-1] = {"mixed": draws[-1], "even-first": draws[-1] / 2,
+                         "odd-first": 0.5 + draws[-1] / 2}[orders]
+            even_first = draws[-1] < 0.5
+            assert {"mixed": even_first.any() and not even_first.all(),
+                    "even-first": even_first.all(), "odd-first": not even_first.any()}[orders]
             if kind == "joint":
                 block = local_search_joint_rows(params, R, Replay(*draws))
             elif kind == "posterior":
@@ -140,6 +147,27 @@ class TestSearchRows:
         params = init_params(DbmShape(300, 96, 64), np.random.default_rng(5))
         block = local_search_joint_rows(params, R, np.random.default_rng(6))
         assert len(np.unique(block.steps)) > 1
+
+    @pytest.mark.parametrize("kind", ["joint", "posterior", "clamped"])
+    def test_iteration_cap_raises(self, kind, monkeypatch):
+        # with a cap of one iteration, a block whose rows move in their first
+        # iteration has not reached its fixed point
+        monkeypatch.setattr(search, "default_max_iterations", lambda params: 1)
+        params = random_params(DbmShape(40, 48, 16), seed=61)
+        s = params.shape
+        rng = np.random.default_rng(3)
+        V = uniform_spins((R, s.n_v), rng)
+        draws = _search_draws(rng, params, kind != "posterior")
+        even_first = draws[-1] < 0.5
+        assert even_first.any() and not even_first.all()
+        with pytest.raises(SearchDivergenceError):
+            if kind == "joint":
+                local_search_joint_rows(params, R, Replay(*draws))
+            elif kind == "posterior":
+                local_search_posterior_rows(params, V, Replay(*draws))
+            else:
+                local_search_clamped_rows(params, V, np.arange(s.n_v) < s.n_v // 2,
+                                          Replay(*draws))
 
 
 class TestSweepRows:

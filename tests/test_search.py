@@ -5,7 +5,7 @@ import pytest
 from scipy.special import expit
 
 from spindbm import (DbmParams, DbmShape, DimensionError, HiddenState, JointState,
-                     block_minimize_joint, block_minimize_posterior, energy,
+                     block_minimize_joint, block_minimize_posterior, complete, energy,
                      enumerate_joint, gibbs_sweep_joint, gibbs_sweep_posterior,
                      init_params, local_search_clamped, local_search_joint,
                      local_search_posterior, uniform_spins)
@@ -13,7 +13,7 @@ from spindbm import search
 from spindbm.model import energy_vhh, h1_field, h2_field, v_field
 from spindbm.search import (SearchDivergenceError, SearchResult, _spins,
                             default_max_iterations, gibbs_sweep_joint_rows,
-                            gibbs_sweep_posterior_rows)
+                            gibbs_sweep_posterior_rows, local_search_clamped_rows)
 
 from conftest import random_params, state_counts
 
@@ -153,6 +153,20 @@ class TestLocalSearchClamped:
         with pytest.raises(ValueError):
             local_search_clamped(params, np.array([0.5, 1.0, 1.0]),
                                  np.ones(3, dtype=bool), rng)
+
+    @pytest.mark.parametrize("mask", ["none-observed", "half-observed"])
+    @pytest.mark.parametrize("width", [3, 1, 5])
+    def test_rejects_wrong_v_width(self, width, mask, rng):
+        # the mask has the model's width (4); only v is the wrong size
+        params = random_params(DbmShape(4, 3, 2), seed=4)
+        observed = np.arange(4) < (0 if mask == "none-observed" else 2)
+        v = uniform_spins(width, rng)
+        with pytest.raises(DimensionError):
+            local_search_clamped(params, v, observed, rng)
+        with pytest.raises(DimensionError):
+            local_search_clamped_rows(params, np.stack([v, v]), observed, rng)
+        with pytest.raises(DimensionError):
+            complete(params, v, observed, rng)
 
 
 class TestStateSizes:

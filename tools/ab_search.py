@@ -1,0 +1,124 @@
+"""In-process A/B of the local search: this tree's search.py against a parent's.
+
+Usage, from the root of a checkout, with the parent checked out elsewhere:
+
+    python3 tools/ab_search.py --parent ../parent-checkout --pairs 24
+
+Both copies of spindbm/search.py load into one interpreter, next to each
+other, and share this tree's model.py, so the only difference between the
+two sides is the search. BLAS is pinned to one thread. Each case runs in
+pairs, alternating which side goes first, and both sides of a pair draw
+from the same seed, so they do the same work; the first pair also checks
+that they return the same rows bit for bit. The cases are the searches that
+dominate the benchmark's workloads:
+
+- the oracle check's 1024-row blocks on the 3-3-2 model, posterior and joint;
+- 4-row posterior and joint searches at 6272-500-500, a training batch;
+- the 8-row joint search of sample at 6272-500-500;
+- 8 one-row clamped searches (complete) with the lower half of a 28 x 28
+  image observed.
+
+For each case it prints the median seconds per sample of each side, the
+median of the per-pair ratios parent time / tree time (above 1: the tree
+is faster) and the pairs the tree won.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"  # before numpy loads
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from spindbm import data, search, training  # noqa: E402
+from spindbm.model import DbmShape, uniform_spins  # noqa: E402
+
+
+def load_parent_search(checkout: Path):
+    """The parent's spindbm/search.py as a module of this tree's spindbm package."""
+    path = checkout / "src" / "spindbm" / "search.py"
+    spec = importlib.util.spec_from_file_location("spindbm._parent_search", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def cases():
+    """(name, calls per sample, run(search module, rng) -> list of RowSearch)."""
+    check, v = training.default_check_model()
+    V_check = np.tile(v, (1024, 1))
+    big = training.init_params(DbmShape(6272, 500, 500), np.random.default_rng([0, 1]))
+    rng = np.random.default_rng(0)
+    V4 = uniform_spins((4, 6272), rng)
+    images = uniform_spins((8, 6272), rng)
+    observed = data.lower_half_mask(28, 28).observed
+    return [
+        ("oracle posterior x1024", 50,
+         lambda s, g: [s.local_search_posterior_rows(check, V_check, g)]),
+        ("oracle joint x1024", 30, lambda s, g: [s.local_search_joint_rows(check, 1024, g)]),
+        ("6272 posterior R=4", 5, lambda s, g: [s.local_search_posterior_rows(big, V4, g)]),
+        ("6272 joint R=4", 1, lambda s, g: [s.local_search_joint_rows(big, 4, g)]),
+        ("6272 sample R=8", 1, lambda s, g: [s.local_search_joint_rows(big, 8, g)]),
+        ("6272 complete 8 x R=1", 1,
+         lambda s, g: [s.local_search_clamped_rows(big, row[None], observed, g)
+                       for row in images]),
+    ]
+
+
+def _time(run, module, calls: int, seed: int) -> float:
+    rng = np.random.default_rng(seed)
+    t = perf_counter()
+    for _ in range(calls):
+        run(module, rng)
+    return perf_counter() - t
+
+
+def _arrays(result) -> tuple:
+    return (result.V, result.H1, result.H2, result.steps) + (result.fields or ())
+
+
+def _same(a, b) -> bool:
+    """Whether two lists of RowSearch hold the same rows, bit for bit."""
+    return all(np.array_equal(x, y) for p, q in zip(a, b) for x, y in zip(_arrays(p), _arrays(q)))
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--parent", required=True, type=Path,
+                   help="root of the parent checkout whose search.py is the baseline")
+    p.add_argument("--pairs", type=int, default=24)
+    args = p.parse_args(argv)
+    parent = load_parent_search(args.parent)
+    print(f"{'case':<24} {'parent s':>10} {'tree s':>10} {'ratio':>7} {'wins':>7}")
+    for name, calls, run in cases():
+        if not _same(run(parent, np.random.default_rng(1)), run(search, np.random.default_rng(1))):
+            print(f"{name}: the two searches return different rows", file=sys.stderr)
+            return 1
+        t_parent, t_tree = [], []
+        for i in range(args.pairs):
+            seed = 1000 + i
+            order = ((parent, t_parent), (search, t_tree))
+            for module, times in order if i % 2 == 0 else order[::-1]:
+                times.append(_time(run, module, calls, seed))
+        ratios = [a / b for a, b in zip(t_parent, t_tree)]
+        wins = sum(r > 1.0 for r in ratios)
+        print(f"{name:<24} {statistics.median(t_parent):>10.5f} "
+              f"{statistics.median(t_tree):>10.5f} {statistics.median(ratios):>7.3f} "
+              f"{wins:>4}/{args.pairs}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
