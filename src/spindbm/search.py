@@ -270,8 +270,8 @@ def _fixed_point(params: DbmParams, V, rng, trace=None, c=None, rows=None) -> Ro
         n = n_even if k == 0 else R  # the half-pass sets rows :n
         n_ok = np.count_nonzero(ok[b])
         if n_ok < R:
-            # recompute the stale fields that set block b: rows :n's when no row
-            # holds them (rebound when that is all R rows), else rows J's
+            # recompute the stale fields that set block b, as (index in A, fields): of
+            # rows :n when no row holds them (rebound when that is all R rows), else of rows J
             J = (~ok[b]).nonzero()[0] if n_ok else slice(0, n)
             if b:
                 a_J = ((1, h1_field(params, pick_rows(V, J), pick_rows(H2, J), pick_rows(c, J))),)
