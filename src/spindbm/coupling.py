@@ -287,8 +287,6 @@ def telescope_terms(run: CoupledRun) -> list:
         raise CouplingTruncatedError("telescoping sum over a truncated run would be biased")
     if not run.has_trajectory:
         raise ValueError("run was recorded without states (keep_states=False)")
-    if run.tau == 1:
-        return [(run.x_states[0], 1)]
     coeffs = {}
 
     def add(state, c):
@@ -319,29 +317,17 @@ def telescope_rows(runs: RowRuns, keep=None):
     kept = np.ones(len(runs.tau), dtype=bool) if keep is None else np.asarray(keep, dtype=bool)
     if (runs.truncated & kept).any():
         raise CouplingTruncatedError("telescoping sum over a truncated run would be biased")
-    met_at_once = (runs.tau == 1) & kept
-    first = met_at_once.nonzero()[0]
-    states, coefs, owners = [pick_rows(runs.x0, first)], [np.ones(first.size)], [first]
-    later = (kept & ~met_at_once).nonzero()[0]
-    if later.size:
-        rows = np.concatenate([r for r, _, _ in runs.steps])
-        t = np.repeat(np.arange(1, len(runs.steps) + 1), [len(r) for r, _, _ in runs.steps])
-        # x_t, y_{t-1} enter run r's sum for t < tau_r
-        on = ((t < runs.tau[rows]) & kept[rows]).nonzero()[0]
-        X = pick_rows(np.concatenate([X for _, X, _ in runs.steps]), on)
-        Y = pick_rows(np.concatenate([Y for _, _, Y in runs.steps]), on)
-        rows = pick_rows(rows, on)
-        s, c, o = _distinct(np.concatenate([pick_rows(runs.x0, later), X, Y]),
-                            np.concatenate([np.ones(later.size + len(X)), -np.ones(len(Y))]),
-                            np.concatenate([later, rows, rows]))
-        states.append(s)
-        coefs.append(c)
-        owners.append(o)
-    states, coefs, owners = (np.concatenate(a) for a in (states, coefs, owners))
-    if later.size and met_at_once.any():  # merge the tau = 1 rows in among the others
-        order = np.argsort(owners, kind="stable")
-        states, coefs, owners = states[order], coefs[order], owners[order]
-    return states, coefs, owners
+    start = kept.nonzero()[0]
+    rows = np.concatenate([r for r, _, _ in runs.steps])
+    t = np.repeat(np.arange(1, len(runs.steps) + 1), [len(r) for r, _, _ in runs.steps])
+    # x_0 enters run r's sum, and x_t and y_{t-1} do for t < tau_r
+    on = ((t < runs.tau[rows]) & kept[rows]).nonzero()[0]
+    X = pick_rows(np.concatenate([X for _, X, _ in runs.steps]), on)
+    Y = pick_rows(np.concatenate([Y for _, _, Y in runs.steps]), on)
+    rows = pick_rows(rows, on)
+    return _distinct(np.concatenate([pick_rows(runs.x0, start), X, Y]),
+                     np.concatenate([np.ones(start.size + len(X)), -np.ones(len(Y))]),
+                     np.concatenate([start, rows, rows]))
 
 
 def _distinct(states, coefs, owners):
@@ -357,7 +343,8 @@ def _distinct(states, coefs, owners):
     words, owners = words[order], owners[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (owners[1:] != owners[:-1]) | (words[1:] != words[:-1]).any(axis=1)
-    net = np.bincount(np.cumsum(first) - 1, weights=coefs[order])
+    # float64 for no rows too, where bincount gives int64
+    net = np.bincount(np.cumsum(first) - 1, weights=coefs[order]).astype(np.float64, copy=False)
     keep = net != 0
     return states[order[first][keep]], net[keep], owners[first][keep]
 

@@ -23,11 +23,12 @@ alone; the odd-first rows join at k = 1. So each half-pass sets the same
 block in every row it covers and makes one product for all of them. Each
 row keeps its own flags for which fields it carries and its own
 iteration count, and leaves the search once it reaches its fixed point.
-The one-state functions are the R = 1 case and draw the same numbers from
-rng as R = 1 rows do. rng is one generator, which draws each stage's
-numbers for all rows at once, or a sequence of one generator per row,
-from which row r draws exactly what a one-state call draws from it
-(model.random_rows).
+A sweep makes one pass over the rows of each block order. A block of
+R = 0 rows gives empty rows and draws nothing. The one-state functions are
+the R = 1 case and draw the same numbers from rng as R = 1 rows do. rng is
+one generator, which draws each stage's numbers for all rows at once, or a
+sequence of one generator per row, from which row r draws exactly what a
+one-state call draws from it (model.random_rows).
 
 Sign convention: sgn(0) = +1 everywhere.
 """
@@ -96,15 +97,6 @@ def _spins(field: np.ndarray, u) -> np.ndarray:
     return np.where(u < np.tanh(field), 1.0, -1.0)
 
 
-def _set_free(v, v_free, rows):
-    """v with its free units (the last axis) replaced by v_free."""
-    if rows is None:
-        return v_free
-    v = v.copy()
-    v[..., rows[0]] = v_free
-    return v
-
-
 def block_pass(params: DbmParams, v, h1, h2, even_first: bool, uniforms=_THRESHOLD,
                c=None, rows=None, fields=None):
     """One pass over the even block (v, h2) and the odd block (h1).
@@ -134,7 +126,11 @@ def block_pass(params: DbmParams, v, h1, h2, even_first: bool, uniforms=_THRESHO
     if c is None:
         if a_v is None:
             a_v = v_field(params, h1, rows)
-        v = _set_free(v, _spins(a_v, u_v), rows)
+        if rows is None:
+            v = _spins(a_v, u_v)
+        else:  # a copy of v with its free units set
+            v = v.copy()
+            v[..., rows[0]] = _spins(a_v, u_v)
     if a_h2 is None:
         a_h2 = h2_field(params, h1)
     h2 = _spins(a_h2, u_h2)
@@ -168,18 +164,6 @@ def block_uniforms(U, even_first: bool, n_v: int, n_h1: int):
     else:
         u_h1, u_v, u_h2 = U[..., :n_h1], U[..., n_h1:n_h1 + n_v], U[..., n_h1 + n_v:]
     return (u_v if n_v else None), u_h1, u_h2
-
-
-def _groups(even_first: np.ndarray) -> list:
-    """(block order, rows) for each block order some row has.
-
-    rows is slice(None) when every row shares the order, so that one-order
-    blocks (R = 1 among them) work on views.
-    """
-    n_even = np.count_nonzero(even_first)
-    if n_even in (0, len(even_first)):
-        return [(n_even > 0, slice(None))]
-    return [(True, even_first.nonzero()[0]), (False, (~even_first).nonzero()[0])]
 
 
 def block_minimize_joint(params: DbmParams, v, h1, h2, even_first: bool):
@@ -232,11 +216,14 @@ def _fixed_point(params: DbmParams, V, rng, trace=None, c=None, rows=None) -> Ro
     fields are fresh: computed in full, or by the confirming pass. A row
     that stops changing leaves the loop, and its iterations, V, H1, H2 and,
     for a joint search, (A_v, A_h1, A_h2) go to its row of the result, in
-    the caller's order. c and rows are passed on to block_pass (c holds one
-    row per state). trace, for one row only, receives a copy of the state
-    after every iteration.
+    the caller's order. The even half-pass writes V and H2 through views of
+    rows :n, and a recompute writes its rows of the fields, or rebinds them
+    when it covers all R rows. R = 0 returns the empty result after drawing
+    zero numbers. c and rows are passed on to block_pass (c holds one row
+    per state). trace, for one row only, receives a copy of the state after
+    every iteration.
     """
-    W1_free = params.W1 if rows is None else rows[1]
+    free, W1_free = (slice(None), params.W1) if rows is None else rows[:2]
     n_v, n_h1, n_h2 = params.sizes
     # the most units that may flip in a block for the other block's fields
     # to be updated rather than recomputed (0: always recomputed)
@@ -253,12 +240,16 @@ def _fixed_point(params: DbmParams, V, rng, trace=None, c=None, rows=None) -> Ro
                     np.empty_like(H2), np.empty(R, dtype=np.int64),
                     None if posterior or rows is not None else
                     (np.empty_like(V), np.empty_like(H1), np.empty_like(H2)))
+    if not R:
+        return out
     idx = np.arange(R)  # each row's row in the caller's order
     n_even = int(np.count_nonzero(even_first))  # the even-first rows are rows :n_even
     if 0 < n_even < R:
         idx = np.argsort(~even_first, kind="stable")
         V, H1, H2, c = (pick_rows(a, idx) for a in (V, H1, H2, c))
-    A = [None, None, None]  # the rows' fields (A_v, A_h1, A_h2), allocated when first set
+    # the rows' fields (A_v, A_h1, A_h2); A_v is None in a posterior search
+    A = [None if posterior else np.empty((R, len(W1_free))), np.empty((R, n_h1)),
+         np.empty((R, n_h2))]
     # for the block b a half-pass sets (0 even, 1 odd): ok[b], the row's fields
     # that set b match the other block; drift[b], they hold updates from flips
     ok = [np.zeros(R, dtype=bool), np.zeros(R, dtype=bool)]
@@ -271,7 +262,7 @@ def _fixed_point(params: DbmParams, V, rng, trace=None, c=None, rows=None) -> Ro
         n_ok = np.count_nonzero(ok[b])
         if n_ok < R:
             # recompute the stale fields that set block b, as (index in A, fields): of
-            # rows :n when no row holds them (rebound when that is all R rows), else of rows J
+            # rows :n when no row holds them, else of rows J
             J = (~ok[b]).nonzero()[0] if n_ok else slice(0, n)
             if b:
                 a_J = ((1, h1_field(params, pick_rows(V, J), pick_rows(H2, J), pick_rows(c, J))),)
@@ -280,11 +271,9 @@ def _fixed_point(params: DbmParams, V, rng, trace=None, c=None, rows=None) -> Ro
                 a_J = ((2, h2_field(params, H1_J)),) if posterior else (
                     (0, v_field(params, H1_J, rows)), (2, h2_field(params, H1_J)))
             for i, a in a_J:
-                if not n_ok and n == R:
+                if not n_ok and n == R:  # writing these read 4% slower on infer-6272
                     A[i] = a
                 else:
-                    if A[i] is None:  # k = 0 in a block of both orders
-                        A[i] = np.empty((R, a.shape[1]))
                     A[i][J] = a
             ok[b][J] = True
             if drifted:
@@ -306,17 +295,16 @@ def _fixed_point(params: DbmParams, V, rng, trace=None, c=None, rows=None) -> Ro
                     drift[0][r] = drifted = True
                 H1 = new
         else:
-            # rows :n, as views at k = 0 in a block of both orders
+            # views of rows :n, through which this half-pass writes them
             V_n, H2_n, A_v, A_h2, moved_n, ok_n = (
-                (V, H2, A[0], A[2], moved, ok[1]) if n == R else
-                (V[:n], H2[:n], pick_rows(A[0], slice(0, n)), A[2][:n], moved[:n], ok[1][:n]))
+                pick_rows(a, slice(0, n)) for a in (V, H2, A[0], A[2], moved, ok[1]))
             h2_new = _spins(A_h2, None)
             flip_h2 = h2_new != H2_n
             n_h2_flips = np.count_nonzero(flip_h2)
             n_v_flips = 0
             if not posterior:
                 v_new = _spins(A_v, None)
-                flip_v = v_new != (V_n if rows is None else V_n[:, rows[0]])
+                flip_v = v_new != V_n[:, free]
                 n_v_flips = np.count_nonzero(flip_v)
             if n_v_flips or n_h2_flips:
                 n_h2_flips = flip_h2.sum(axis=1)
@@ -337,11 +325,8 @@ def _fixed_point(params: DbmParams, V, rng, trace=None, c=None, rows=None) -> Ro
                         A[1][r] += params.W2[:, q] @ (2.0 * h2_new[r, q])
                     drift[1][r] = drifted = True
                 if not posterior:
-                    V_n = _set_free(V_n, v_new, rows)
-                if n == R:
-                    V, H2 = V_n, h2_new
-                else:  # k = 0 in a block of both orders: write the even-first rows in place
-                    V[:n], H2[:n] = V_n, h2_new
+                    V_n[:, free] = v_new
+                H2_n[...] = h2_new
         # the rows whose iteration ends here, rows lo:hi: the even-first rows
         # after an odd half-pass, the odd-first rows after an even one
         lo, hi = (0, n_even) if b else (n_even, n)
@@ -477,24 +462,24 @@ def local_search_clamped(params: DbmParams, v_observed: np.ndarray, observed: np
 def _sweep(params: DbmParams, V, H1, H2, rng, c=None, fields=None):
     """R Gibbs sweeps, each row in the block order of its own coin: (V, H1, H2).
 
-    c = model.v_share(V) clamps V (the posterior sweep). fields, the joint
-    fields at the input rows, set each row's first block.
+    Each block order's rows are gathered for one block_pass and scattered
+    back. c = model.v_share(V) clamps V (the posterior sweep). fields, the
+    joint fields at the input rows, set each row's first block.
     """
     n_v = 0 if c is not None else V.shape[-1]
     n_h1 = H1.shape[-1]
     even_first, U = sweep_uniforms(rng, len(H1), n_v, n_h1, H2.shape[-1])
-    out = None
-    for order, g in _groups(even_first):
-        new = block_pass(params, V[g], H1[g], H2[g], order,
-                         block_uniforms(U[g], order, n_v, n_h1), pick_rows(c, g),
+    out = (np.empty_like(V), np.empty_like(H1), np.empty_like(H2))
+    for order in (True, False):
+        g = (even_first == order).nonzero()[0]
+        if not g.size:
+            continue
+        new = block_pass(params, pick_rows(V, g), pick_rows(H1, g), pick_rows(H2, g), order,
+                         block_uniforms(pick_rows(U, g), order, n_v, n_h1), pick_rows(c, g),
                          fields=None if fields is None else tuple(pick_rows(a, g) for a in fields))
-        if isinstance(g, slice):
-            return new[:3]
-        if out is None:
-            out = [V.copy(), np.empty_like(H1), np.empty_like(H2)]
         for o, a in zip(out, new):
             o[g] = a
-    return tuple(out)
+    return out
 
 
 def gibbs_sweep_joint_rows(params: DbmParams, V, H1, H2, rng: np.random.Generator,

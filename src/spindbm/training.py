@@ -28,8 +28,8 @@ from . import oracle
 from .coupling import (DEFAULT_TAU_MAX_MH, CouplingTruncatedError, _mh_chains,
                        mh_couple_joint_rows, mh_couple_posterior_rows, telescope_rows)
 from .model import (DbmParams, DbmShape, DrawnStream, GradEstimate, JointState, check_visible,
-                    grad_from_rows, grad_rows, h1_field, h2_field, keep_rows, load_params,
-                    save_params, uniform_spins, v_field, v_share)
+                    grad_from_rows, grad_rows, h1_field, h2_field, is_spin, keep_rows,
+                    load_params, save_params, uniform_spins, v_field, v_share)
 from .search import (gibbs_sweep_joint, gibbs_sweep_joint_rows, gibbs_sweep_posterior_rows,
                      local_search_clamped, local_search_joint_rows, local_search_posterior_rows)
 # Not called here; perfbench/tracer.py wraps these names in this module,
@@ -363,14 +363,12 @@ def _example_block(params: DbmParams, V: np.ndarray, tau_max: int, rng,
     if not drop and prun.truncated.any():
         raise CouplingTruncatedError("a positive-phase coupling was truncated")
     go = (~prun.truncated).nonzero()[0]  # the rows that run the negative stage
-    neg, neg_c, neg_owner = np.empty((0, s.total)), np.empty(0), go[:0]
-    if go.size:
-        nrun, steps[go, 1] = _negative_rows(params, go.size, tau_max, keep_rows(rng, go))
-        tau[go, 1], truncated[go, 1] = nrun.tau, nrun.truncated
-        if not drop and nrun.truncated.any():
-            raise CouplingTruncatedError("a negative-phase coupling was truncated")
-        neg, neg_c, neg_owner = telescope_rows(nrun, ~nrun.truncated)
-        neg_owner = go[neg_owner]
+    nrun, steps[go, 1] = _negative_rows(params, go.size, tau_max, keep_rows(rng, go))
+    tau[go, 1], truncated[go, 1] = nrun.tau, nrun.truncated
+    if not drop and nrun.truncated.any():
+        raise CouplingTruncatedError("a negative-phase coupling was truncated")
+    neg, neg_c, neg_owner = telescope_rows(nrun, ~nrun.truncated)
+    neg_owner = go[neg_owner]
     pos, pos_c, pos_owner = telescope_rows(prun, ~truncated.any(axis=1))
     n_vh = s.n_v + s.n_h1
     return DrawRows(np.concatenate([V[pos_owner], neg[:, :s.n_v]]),
@@ -563,8 +561,6 @@ def sample(params: DbmParams, n: int, mh_steps: int = 0, *, rng: np.random.Gener
     """
     if n < 0 or mh_steps < 0:
         raise ValueError(f"n = {n} and mh_steps = {mh_steps} must be >= 0")
-    if n == 0:
-        return []
     m = (params.shape.total + 1) * (1 + mh_steps)
     streams = [DrawnStream(u) for u in rng.random((n, m))]
     found = local_search_joint_rows(params, n, streams)
@@ -604,8 +600,9 @@ def train(cfg: TrainConfig, dataset, out_dir=None, initial_params: DbmParams = N
     data = [np.asarray(v, dtype=np.float64) for v in dataset]
     if not data:
         raise ValueError("empty dataset")
-    if any(len(v) != cfg.shape.n_v for v in data):
-        raise ValueError("dataset width does not match n_v")
+    for i, v in enumerate(data):
+        if len(v) != cfg.shape.n_v or not is_spin(v):
+            raise ValueError(f"dataset row {i} is not a vector of n_v +-1 values")
     if initial_params is not None:
         params = initial_params.copy()
     elif cfg.resume:
@@ -689,6 +686,8 @@ def unbiasedness_report(params: DbmParams, v: np.ndarray, n_samples: int, seed: 
     Components whose estimates never vary must match the oracle exactly and
     are reported with z = 0.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples = {n_samples} must be >= 1")
     exact = oracle.exact_grad_loglik(params, v).vec
     dim = exact.size
     acc = np.zeros(dim)

@@ -30,7 +30,7 @@ from spindbm.search import (SearchDivergenceError, default_max_iterations,
                             gibbs_sweep_joint_rows, gibbs_sweep_posterior_rows,
                             local_search_clamped_rows, local_search_joint_rows,
                             local_search_posterior_rows)
-from spindbm.training import _example_block, _negative_rows, _positive_rows
+from spindbm.training import _example_block, _negative_rows, _positive_rows, sample
 
 from conftest import joint_chain, posterior_chain, random_params
 
@@ -171,14 +171,20 @@ class TestSearchRows:
 
 
 class TestSweepRows:
+    @pytest.mark.parametrize("orders", ["mixed", "even-first", "odd-first"])
     @pytest.mark.parametrize("with_fields", [False, True])
-    def test_each_row_is_its_one_state_sweep(self, with_fields):
+    def test_each_row_is_its_one_state_sweep(self, with_fields, orders):
         for i, params in enumerate(_models()):
             s = params.shape
             rng = np.random.default_rng(200 + i)
             found = local_search_joint_rows(params, R, rng)
             fields = found.fields if with_fields else None
             coins = rng.random(R)
+            # the block holds rows of both orders, or of one
+            coins = {"mixed": coins, "even-first": coins / 2, "odd-first": 0.5 + coins / 2}[orders]
+            even_first = coins < 0.5
+            assert {"mixed": even_first.any() and not even_first.all(),
+                    "even-first": even_first.all(), "odd-first": not even_first.any()}[orders]
             U = rng.uniform(-1.0, 1.0, (R, s.total))
             U_post = rng.uniform(-1.0, 1.0, (R, s.n_h1 + s.n_h2))
             joint = gibbs_sweep_joint_rows(params, found.V, found.H1, found.H2,
@@ -253,8 +259,14 @@ class TestMhRows:
             X0 = uniform_spins((R, s.total), rng)
             runs = mh_couple_joint_rows(params, X0, 10_000, rng)
             states, coefs, owners = telescope_rows(runs)
+            # the rows come in run order: the batch gradient sums them in this order
+            assert np.all(np.diff(owners) >= 0)
+            assert (runs.tau == 1).any() and (runs.tau > 1).any()
             for r in range(R):
                 run = _run_of(runs, r, (s.n_v, s.n_h1))
+                if run.tau == 1:  # its start alone, at coefficient 1
+                    assert np.array_equal(states[owners == r], X0[r][None])
+                    assert np.array_equal(coefs[owners == r], [1.0])
                 assert run.has_trajectory and run.x_states[-1].equals(run.y_states[-1])
                 expected = {x.concat().tobytes(): c for x, c in telescope_terms(run)}
                 mine = owners == r
@@ -325,6 +337,59 @@ class TestMhRows:
                 xs = [X[np.flatnonzero(rows == r)[0]] for rows, X, _ in runs.steps if r in rows]
                 assert len(xs) == one.tau
                 assert all(np.array_equal(a, b.concat()) for a, b in zip(xs, one.x_states[1:]))
+
+
+EMPTY_BLOCK = ["search joint", "search posterior", "search clamped", "sweep joint",
+               "sweep posterior", "mh joint", "mh posterior", "example block",
+               "sample mh_steps=0", "sample mh_steps=2"]
+
+
+class TestEmptyBlocks:
+    @pytest.mark.parametrize("entry", EMPTY_BLOCK)
+    def test_empty_block_gives_empty_rows_and_draws_nothing(self, entry):
+        params = random_params(DbmShape(6, 5, 3), seed=8)
+        s = params.shape
+        V, H1, H2 = np.empty((0, s.n_v)), np.empty((0, s.n_h1)), np.empty((0, s.n_h2))
+        rng = np.random.default_rng(11)
+        before = rng.bit_generator.state
+        if entry.startswith("search"):
+            if entry == "search joint":
+                found = local_search_joint_rows(params, 0, rng)
+                assert [a.shape for a in found.fields] == [(0, s.n_v), (0, s.n_h1), (0, s.n_h2)]
+            elif entry == "search posterior":
+                found = local_search_posterior_rows(params, V, rng)
+            else:
+                found = local_search_clamped_rows(params, V, np.arange(s.n_v) < 2, rng)
+            assert entry == "search joint" or found.fields is None
+            assert [a.shape for a in (found.V, found.H1, found.H2, found.steps)] == [
+                (0, s.n_v), (0, s.n_h1), (0, s.n_h2), (0,)]
+        elif entry == "sweep joint":
+            out = gibbs_sweep_joint_rows(params, V, H1, H2, rng, fields=(V, H1, H2))
+            assert [a.shape for a in out] == [(0, s.n_v), (0, s.n_h1), (0, s.n_h2)]
+        elif entry == "sweep posterior":
+            out = gibbs_sweep_posterior_rows(params, V, H1, H2, rng)
+            assert [a.shape for a in out] == [(0, s.n_h1), (0, s.n_h2)]
+        elif entry.startswith("mh"):
+            if entry == "mh joint":
+                runs = mh_couple_joint_rows(params, np.empty((0, s.total)), 10, rng)
+            else:
+                runs = mh_couple_posterior_rows(params, V, np.empty((0, s.n_h1 + s.n_h2)), 10,
+                                                rng)
+            assert runs.tau.shape == runs.truncated.shape == (0,)
+            n = s.total if entry == "mh joint" else s.n_h1 + s.n_h2
+            states, coefs, owners = telescope_rows(runs)
+            assert (states.shape, coefs.shape, owners.shape) == ((0, n), (0,), (0,))
+            assert coefs.dtype == np.float64
+        elif entry == "example block":
+            rows = _example_block(params, V, 10, rng)
+            assert [a.shape for a in rows[:5]] == [(0, s.n_v), (0, s.n_h1), (0, s.n_h2), (0,),
+                                                   (0,)]
+            assert rows.w.dtype == np.float64
+            assert (rows.n_pos, rows.n_draws) == (0, 0)
+            assert rows.tau.shape == rows.steps.shape == rows.truncated.shape == (0, 2)
+        else:
+            assert sample(params, 0, int(entry[-1]), rng=rng) == []
+        assert rng.bit_generator.state == before
 
 
 STREAM_SHAPES = (DbmShape(3, 3, 2), DbmShape(10, 8, 6), DbmShape(6, 5, 0))

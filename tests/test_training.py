@@ -783,6 +783,16 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(self._cfg(), [np.ones(3)], out_dir=None)
 
+    @pytest.mark.parametrize("bad", [0.0, 0.5, 2.0, np.nan])
+    def test_rejects_rows_that_are_not_spins(self, bad):
+        # a 0/1 row would train silently on a different objective
+        data = self._dataset()
+        data[2, 1] = bad
+        with pytest.raises(ValueError, match="row 2 "):
+            train(self._cfg(steps=3), data, out_dir=None)
+        with pytest.raises(ValueError, match="row 0 "):
+            train(self._cfg(steps=3), (data + 1) / 2, out_dir=None)
+
 
 class TestUnbiasednessReport:
     def test_passes_for_correct_estimator(self, ortho_params_332):
@@ -824,6 +834,21 @@ class TestUnbiasednessReport:
         unbiasedness_report(ortho_params_332, v, training.DRAW_BLOCK + 3, seed=2,
                             estimate_fn=counted)
         assert len(calls) == training.DRAW_BLOCK + 3
+
+    @pytest.mark.parametrize("injected", [False, True])
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_rejects_fewer_than_one_draw(self, injected, n_samples):
+        # no draws have no mean: the report must not read as a pass
+        params, v = training.default_check_model()
+        calls = []
+
+        def never(p, vv, rng):
+            calls.append(None)
+
+        with pytest.raises(ValueError, match="n_samples"):
+            unbiasedness_report(params, v, n_samples, seed=0,
+                                estimate_fn=never if injected else None)
+        assert not calls
 
     @pytest.mark.parametrize("estimator", training.ESTIMATORS)
     def test_a_truncated_row_raises(self, estimator):

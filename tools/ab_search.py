@@ -1,4 +1,4 @@
-"""In-process A/B of the local search: this tree's search.py against a parent's.
+"""In-process A/B of the local search and sweeps: this tree's search.py against a parent's.
 
 Usage, from the root of a checkout, with the parent checked out elsewhere:
 
@@ -6,17 +6,23 @@ Usage, from the root of a checkout, with the parent checked out elsewhere:
 
 Both copies of spindbm/search.py load into one interpreter, next to each
 other, and share this tree's model.py, so the only difference between the
-two sides is the search. BLAS is pinned to one thread. Each case runs in
+two sides is search.py. BLAS is pinned to one thread. Each case runs in
 pairs, alternating which side goes first, and both sides of a pair draw
 from the same seed, so they do the same work; the first pair also checks
-that they return the same rows bit for bit. The cases are the searches that
-dominate the benchmark's workloads:
+that they return the same rows bit for bit. The cases are the searches and
+Gibbs sweeps that dominate the benchmark's workloads:
 
 - the oracle check's 1024-row blocks on the 3-3-2 model, posterior and joint;
 - 4-row posterior and joint searches at 6272-500-500, a training batch;
 - the 8-row joint search of sample at 6272-500-500;
 - 8 one-row clamped searches (complete) with the lower half of a 28 x 28
-  image observed.
+  image observed;
+- the sweeps that follow the oracle check's 1024-row searches, joint (taking
+  the search's fields) and posterior (taking c = v_share(V));
+- the joint sweep of a 4-row training batch at 6272-500-500, taking the
+  search's fields.
+
+The sweeps start from fixed points that this tree's search finds once.
 
 For each case it prints the median seconds per sample of each side, the
 median of the per-pair ratios parent time / tree time (above 1: the tree
@@ -42,7 +48,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from spindbm import data, search, training  # noqa: E402
-from spindbm.model import DbmShape, uniform_spins  # noqa: E402
+from spindbm.model import DbmShape, uniform_spins, v_share  # noqa: E402
 
 
 def load_parent_search(checkout: Path):
@@ -56,7 +62,7 @@ def load_parent_search(checkout: Path):
 
 
 def cases():
-    """(name, calls per sample, run(search module, rng) -> list of RowSearch)."""
+    """(name, calls per sample, run(search module, rng) -> list of RowSearch or sweep rows)."""
     check, v = training.default_check_model()
     V_check = np.tile(v, (1024, 1))
     big = training.init_params(DbmShape(6272, 500, 500), np.random.default_rng([0, 1]))
@@ -64,6 +70,10 @@ def cases():
     V4 = uniform_spins((4, 6272), rng)
     images = uniform_spins((8, 6272), rng)
     observed = data.lower_half_mask(28, 28).observed
+    joint_check = search.local_search_joint_rows(check, 1024, rng)
+    post_check = search.local_search_posterior_rows(check, V_check, rng)
+    c_check = v_share(check, V_check)
+    joint_big = search.local_search_joint_rows(big, 4, rng)
     return [
         ("oracle posterior x1024", 50,
          lambda s, g: [s.local_search_posterior_rows(check, V_check, g)]),
@@ -74,6 +84,15 @@ def cases():
         ("6272 complete 8 x R=1", 1,
          lambda s, g: [s.local_search_clamped_rows(big, row[None], observed, g)
                        for row in images]),
+        ("oracle joint sweep x1024", 200,
+         lambda s, g: [s.gibbs_sweep_joint_rows(check, joint_check.V, joint_check.H1,
+                                                joint_check.H2, g, fields=joint_check.fields)]),
+        ("oracle post sweep x1024", 200,
+         lambda s, g: [s.gibbs_sweep_posterior_rows(check, V_check, post_check.H1,
+                                                    post_check.H2, g, c=c_check)]),
+        ("6272 joint sweep R=4", 20,
+         lambda s, g: [s.gibbs_sweep_joint_rows(big, joint_big.V, joint_big.H1, joint_big.H2,
+                                                g, fields=joint_big.fields)]),
     ]
 
 
@@ -86,11 +105,14 @@ def _time(run, module, calls: int, seed: int) -> float:
 
 
 def _arrays(result) -> tuple:
+    """A RowSearch's arrays; a sweep's result is already a tuple of them."""
+    if isinstance(result, tuple):
+        return result
     return (result.V, result.H1, result.H2, result.steps) + (result.fields or ())
 
 
 def _same(a, b) -> bool:
-    """Whether two lists of RowSearch hold the same rows, bit for bit."""
+    """Whether two lists of results hold the same rows, bit for bit."""
     return all(np.array_equal(x, y) for p, q in zip(a, b) for x, y in zip(_arrays(p), _arrays(q)))
 
 
