@@ -76,6 +76,10 @@ class RowRuns:
     steps: list
 
 
+WINDOW_STEPS = 32  # the most lockstep steps one draw covers
+WINDOW_NUMBERS = 1 << 16  # and the most numbers: many runs of many units get short windows
+
+
 def _mh_chains(params: DbmParams, X0: np.ndarray, n_steps: int, rng: np.random.Generator,
                V=None, c=None, stop_at_meeting: bool = True,
                keep_states: bool = True) -> RowRuns:
@@ -93,6 +97,22 @@ def _mh_chains(params: DbmParams, X0: np.ndarray, n_steps: int, rng: np.random.G
     stops at the first t with x_t = y_{t-1} (the chains then stay merged)
     or after n_steps steps, which truncates it; with stop_at_meeting=False
     every run goes n_steps steps and none is marked truncated.
+
+    Windows: when rng is one np.random.Generator, a window of steps that
+    ends with no run meeting lets the next k lockstep steps draw as one
+    window, k doubling each time up to WINDOW_STEPS steps and WINDOW_NUMBERS
+    numbers (and never past n_steps): one rng.random((k, R_t (n + 1))) call,
+    which holds exactly what those k steps draw one at a time (each step's
+    R_t proposal rows, then its R_t uniforms), one energy product over the
+    k R_t proposals and one log; then the k accept tests run in order, with
+    a meeting test wherever a chain moved (and at step 1). When runs meet at
+    window step s < k, the window gives back what its last k - s steps drew:
+    the generator's state from before the draw is restored and the s steps'
+    numbers drawn again, so the next window draws for the runs still going
+    what the next step would; k stays as it was. So every tau, step record
+    and generator state after the loop is that of the step-at-a-time loop,
+    bit for bit. Any other rng (one generator per run, DrawnStreams) takes
+    one step per draw.
     """
     if n_steps < 1:
         raise ValueError("tau_max and n_steps must be >= 1")
@@ -103,42 +123,66 @@ def _mh_chains(params: DbmParams, X0: np.ndarray, n_steps: int, rng: np.random.G
     if not joint and c is None:
         c = v_share(params, V)
     n_vh = n_v + params.W1.shape[1]
-    R = len(X0)
+    R, n = X0.shape
     tau = np.full(R, n_steps, dtype=np.int64)
     rows = np.arange(R)
     X = Y = X0
     E_x = E_y = energy_vhh(params, X0[:, :n_v] if joint else V, X0[:, n_v:n_vh],
                            X0[:, n_vh:], c)
     steps = []
-    t = 0
-    while t < n_steps:
-        P = uniform_spins(X.shape, rng)
-        E_p = energy_vhh(params, P[:, :n_v] if joint else V, P[:, n_v:n_vh], P[:, n_vh:], c)
-        with np.errstate(divide="ignore"):  # log 0 = -inf: always accept
-            log_u = np.log(random_rows(rng, (len(rows),)))
-        move = log_u < E_x - E_p
-        if np.count_nonzero(move):
-            X, E_x = np.where(move[:, None], P, X), np.where(move, E_p, E_x)
-        if t:
-            move = log_u < E_y - E_p
-            if np.count_nonzero(move):
-                Y, E_y = np.where(move[:, None], P, Y), np.where(move, E_p, E_y)
-        t += 1
-        if keep_states:
-            steps.append((rows, X, Y))
-        if stop_at_meeting:
-            met = (X == Y).all(axis=1)  # exact +-1 arrays
-            n_met = np.count_nonzero(met)
-            if n_met == len(rows):
-                tau[rows] = t
-                rows = rows[:0]
-                break
-            if n_met:
-                tau[rows[met]] = t
-                go = (~met).nonzero()[0]
-                rows, X, Y, E_x, E_y, V, c = (pick_rows(a, go)
-                                              for a in (rows, X, Y, E_x, E_y, V, c))
-                rng = keep_rows(rng, go)
+    windows = isinstance(rng, np.random.Generator)
+    t, k, done = 0, 1, False
+    with np.errstate(divide="ignore"):  # log 0 = -inf: always accept
+        while t < n_steps and not done:
+            R_t = len(rows)
+            if windows:
+                k = min(k, n_steps - t, max(1, WINDOW_NUMBERS // max(1, R_t * (n + 1))))
+                saved = rng.bit_generator.state if k > 1 else None
+                U = rng.random((k, R_t * (n + 1)))
+                P = np.where(U[:, :R_t * n] < 0.5, 1.0, -1.0).reshape(k, R_t, n)
+                log_U = np.log(U[:, R_t * n:])
+            else:
+                P = uniform_spins(X.shape, rng)[None]
+                log_U = np.log(random_rows(rng, (R_t,)))[None]
+            if joint:  # one product over the k R_t proposal rows
+                Q = P.reshape(-1, n)
+                E_P = energy_vhh(params, Q[:, :n_v], Q[:, n_v:n_vh], Q[:, n_vh:]).reshape(k, R_t)
+            else:  # V and c broadcast over the k steps
+                E_P = energy_vhh(params, V, P[..., :n_vh], P[..., n_vh:], c)
+            for j, (p, log_u, E_p) in enumerate(zip(P, log_U, E_P), start=1):
+                moved = t == 0  # all may meet at step 1; later only a run whose chain moved
+                move = log_u < E_x - E_p
+                if np.count_nonzero(move):
+                    X, E_x = np.where(move[:, None], p, X), np.where(move, E_p, E_x)
+                    moved = True
+                if t:
+                    move = log_u < E_y - E_p
+                    if np.count_nonzero(move):
+                        Y, E_y = np.where(move[:, None], p, Y), np.where(move, E_p, E_y)
+                        moved = True
+                t += 1
+                if keep_states:
+                    steps.append((rows, X, Y))
+                if not (stop_at_meeting and moved):
+                    continue
+                met = (X == Y).all(axis=1)  # exact +-1 arrays
+                n_met = np.count_nonzero(met)
+                if n_met == R_t:
+                    tau[rows] = t
+                    rows, done = rows[:0], True
+                elif n_met:
+                    tau[rows[met]] = t
+                    go = (~met).nonzero()[0]
+                    rows, X, Y, E_x, E_y, V, c = (pick_rows(a, go)
+                                                  for a in (rows, X, Y, E_x, E_y, V, c))
+                    rng = keep_rows(rng, go)
+                if done or n_met:  # the window ends here; k stays
+                    if j < k:  # give back what the steps after this one drew
+                        rng.bit_generator.state = saved
+                        rng.random(j * R_t * (n + 1))
+                    break
+            else:  # no run met: the next window is twice as long
+                k = min(2 * k, WINDOW_STEPS) if windows else 1
     truncated = np.zeros(R, dtype=bool)
     truncated[rows] = stop_at_meeting
     return RowRuns(X0, tau, truncated, steps)
@@ -312,11 +356,14 @@ def telescope_rows(runs: RowRuns, keep=None):
     is the run of row k, and the rows come in run order. A run with tau = 1
     gives its start at coefficient 1. keep, an (R,) mask, limits the rows to
     the runs it flags. A kept run that was truncated raises
-    CouplingTruncatedError: no row of a biased sum is returned.
+    CouplingTruncatedError: no row of a biased sum is returned. Runs
+    recorded without trajectories (keep_states=False) raise ValueError.
     """
     kept = np.ones(len(runs.tau), dtype=bool) if keep is None else np.asarray(keep, dtype=bool)
     if (runs.truncated & kept).any():
         raise CouplingTruncatedError("telescoping sum over a truncated run would be biased")
+    if not runs.steps:
+        raise ValueError("runs were recorded without states (keep_states=False)")
     start = kept.nonzero()[0]
     rows = np.concatenate([r for r, _, _ in runs.steps])
     t = np.repeat(np.arange(1, len(runs.steps) + 1), [len(r) for r, _, _ in runs.steps])

@@ -587,6 +587,33 @@ def _format_row(m: StepMetrics) -> str:
     return ",".join(format(getattr(m, name), fmt) for name, fmt in _LOG_FORMATS)
 
 
+def _spin_rows(dataset, n_v: int) -> np.ndarray:
+    """dataset as one (N, n_v) array of +-1 values, checked in one pass.
+
+    The array keeps the input's numeric dtype (int8 image rows stay int8);
+    train_step converts each batch to float64. ValueError names the first
+    row that is not n_v +-1 values, ragged rows included.
+    """
+    if not isinstance(dataset, np.ndarray):
+        dataset = list(dataset)
+    if len(dataset) == 0:
+        raise ValueError("empty dataset")
+    try:
+        data = np.asarray(dataset)
+    except ValueError:  # ragged rows
+        data = None
+    if data is not None and data.dtype.kind not in "biuf":
+        data = data.astype(np.float64)
+    if data is not None and data.ndim == 2 and data.shape[1] == n_v and (
+            np.abs(data) == 1).all():
+        return data
+    for i, v in enumerate(dataset):  # name the first bad row
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (n_v,) or not is_spin(v):
+            raise ValueError(f"dataset row {i} is not a vector of n_v +-1 values")
+    raise ValueError("dataset is not an (N, n_v) array of +-1 values")
+
+
 def train(cfg: TrainConfig, dataset, out_dir=None, initial_params: DbmParams = None):
     """Run the full coupled-estimate training loop.
 
@@ -597,12 +624,7 @@ def train(cfg: TrainConfig, dataset, out_dir=None, initial_params: DbmParams = N
     not finite is logged, then raises NonFiniteUpdateError.
     """
     cfg.validate()
-    data = [np.asarray(v, dtype=np.float64) for v in dataset]
-    if not data:
-        raise ValueError("empty dataset")
-    for i, v in enumerate(data):
-        if len(v) != cfg.shape.n_v or not is_spin(v):
-            raise ValueError(f"dataset row {i} is not a vector of n_v +-1 values")
+    data = _spin_rows(dataset, cfg.shape.n_v)
     if initial_params is not None:
         params = initial_params.copy()
     elif cfg.resume:
@@ -631,7 +653,7 @@ def train(cfg: TrainConfig, dataset, out_dir=None, initial_params: DbmParams = N
             t0 = time.perf_counter()
             batch_rng = rng_for(cfg.seed, 0, step)
             idx = batch_rng.integers(0, len(data), size=cfg.batch_size)
-            batch = [data[i] for i in idx]
+            batch = data[idx]
             params, metrics = train_step(params, batch, cfg, rng_for(cfg.seed, 1, step),
                                          optimizer)
             metrics.step = step

@@ -21,7 +21,7 @@ from spindbm import (DbmShape, HiddenState, JointState, block_minimize_joint,
                      local_search_posterior, mh_couple_joint, mh_couple_posterior,
                      telescope_terms, uniform_spins)
 from spindbm import search
-from spindbm.coupling import (CoupledRun, CouplingTruncatedError, RowRuns,
+from spindbm.coupling import (CoupledRun, CouplingTruncatedError, RowRuns, _mh_chains,
                               mh_couple_joint_rows, mh_couple_posterior_rows,
                               telescope_rows)
 from spindbm.model import DrawnStream, energy_vhh, v_field, v_share
@@ -30,7 +30,8 @@ from spindbm.search import (SearchDivergenceError, default_max_iterations,
                             gibbs_sweep_joint_rows, gibbs_sweep_posterior_rows,
                             local_search_clamped_rows, local_search_joint_rows,
                             local_search_posterior_rows)
-from spindbm.training import _example_block, _negative_rows, _positive_rows, sample
+from spindbm.training import (_example_block, _negative_rows, _positive_rows,
+                              default_check_model, sample)
 
 from conftest import joint_chain, posterior_chain, random_params
 
@@ -291,6 +292,17 @@ class TestMhRows:
         _, X, _ = runs.steps[0]
         assert np.array_equal(X[0], worst) and np.array_equal(X[1], best)
 
+    def test_telescope_rows_need_trajectories(self):
+        # as telescope_terms does, whether or not every run met at tau = 1
+        params = random_params(DbmShape(3, 3, 2), seed=8)
+        rng = np.random.default_rng(12)
+        runs = _mh_chains(params, uniform_spins((4, 8), rng), 10_000, rng, keep_states=False)
+        assert runs.steps == [] and not runs.truncated.any()
+        with pytest.raises(ValueError, match="keep_states"):
+            telescope_rows(runs)
+        with pytest.raises(ValueError, match="keep_states"):
+            telescope_rows(RowRuns(runs.x0, np.ones(4, dtype=np.int64), runs.truncated, []))
+
     def test_truncated_rows_raise(self):
         params = random_params(DbmShape(3, 3, 2), seed=8)
         rng = np.random.default_rng(10)
@@ -337,6 +349,126 @@ class TestMhRows:
                 xs = [X[np.flatnonzero(rows == r)[0]] for rows, X, _ in runs.steps if r in rows]
                 assert len(xs) == one.tau
                 assert all(np.array_equal(a, b.concat()) for a, b in zip(xs, one.x_states[1:]))
+
+
+def _lockstep(params, X0, n_steps, rng, V=None, c=None, stop_at_meeting=True):
+    """The reference MH loop, one step per draw: (tau, truncated, steps).
+
+    Each step draws its runs' proposal rows, then their uniforms, from rng,
+    scores them with one energy product over the runs still going, and tests
+    acceptance and meeting, as coupling._mh_chains did before it drew
+    windows of steps.
+    """
+    joint = V is None
+    n_v = params.W1.shape[0] if joint else 0
+    if not joint and c is None:
+        c = v_share(params, V)
+    n_vh = n_v + params.W1.shape[1]
+    tau = np.full(len(X0), n_steps, dtype=np.int64)
+    rows = np.arange(len(X0))
+    X = Y = X0
+    E_x = E_y = energy_vhh(params, X0[:, :n_v] if joint else V, X0[:, n_v:n_vh],
+                           X0[:, n_vh:], c)
+    steps = []
+    for t in range(n_steps):
+        P = np.where(rng.random(X.shape) < 0.5, 1.0, -1.0)
+        E_p = energy_vhh(params, P[:, :n_v] if joint else V, P[:, n_v:n_vh], P[:, n_vh:], c)
+        with np.errstate(divide="ignore"):
+            log_u = np.log(rng.random(len(rows)))
+        move = log_u < E_x - E_p
+        X, E_x = np.where(move[:, None], P, X), np.where(move, E_p, E_x)
+        if t:
+            move = log_u < E_y - E_p
+            Y, E_y = np.where(move[:, None], P, Y), np.where(move, E_p, E_y)
+        steps.append((rows, X, Y))
+        if stop_at_meeting:
+            met = (X == Y).all(axis=1)
+            tau[rows[met]] = t + 1
+            if met.all():
+                rows = rows[:0]
+                break
+            go = ~met
+            rows, X, Y, E_x, E_y = rows[go], X[go], Y[go], E_x[go], E_y[go]
+            if not joint:
+                V, c = V[go], c[go]
+    truncated = np.zeros(len(X0), dtype=bool)
+    truncated[rows] = stop_at_meeting
+    return tau, truncated, steps
+
+
+def _mode_starts(params, n, seed, V=None):
+    """n search-plus-sweep starts, as the estimator's stages make them."""
+    rng = np.random.default_rng(seed)
+    if V is None:
+        found = local_search_joint_rows(params, n, rng)
+        return np.hstack(gibbs_sweep_joint_rows(params, found.V, found.H1, found.H2, rng,
+                                                fields=found.fields))
+    found = local_search_posterior_rows(params, V, rng)
+    return np.hstack(gibbs_sweep_posterior_rows(params, V, found.H1, found.H2, rng))
+
+
+class TestMhWindows:
+    """On one Generator, _mh_chains draws runs of lockstep steps as windows;
+    every result, and the generator's state after, is the step-at-a-time loop's."""
+
+    @staticmethod
+    def _check(params, X0, n_steps, seed, V=None, c=None, stop_at_meeting=True):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        runs = _mh_chains(params, X0, n_steps, rng, V, c, stop_at_meeting)
+        tau, truncated, steps = _lockstep(params, X0, n_steps, ref, V, c, stop_at_meeting)
+        assert np.array_equal(runs.tau, tau)
+        assert np.array_equal(runs.truncated, truncated)
+        assert len(runs.steps) == len(steps)
+        for mine, theirs in zip(runs.steps, steps):
+            assert all(np.array_equal(a, b) for a, b in zip(mine, theirs))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        return runs
+
+    @pytest.mark.parametrize("kind", ["joint", "posterior"])
+    def test_check_model_blocks_with_long_tails(self, kind):
+        params, v = default_check_model()
+        V = np.tile(v, (1024, 1))
+        for seed in range(3):
+            if kind == "joint":
+                runs = self._check(params, _mode_starts(params, 1024, seed), 10_000, 50 + seed)
+            else:
+                runs = self._check(params, _mode_starts(params, 1024, seed, V), 10_000,
+                                   50 + seed, V, v_share(params, V))
+            # a long tail (windows up to the cap) and many meeting steps (windows cut)
+            assert runs.tau.max() > 40 and len(np.unique(runs.tau)) > 15
+            assert not runs.truncated.any()
+
+    @pytest.mark.parametrize("kind", ["joint", "posterior"])
+    def test_model_without_h2(self, kind):
+        params = random_params(DbmShape(6, 5, 0), seed=12, scale=0.3)
+        V = uniform_spins((200, 6), np.random.default_rng(13))
+        X0 = uniform_spins((200, 11 if kind == "joint" else 5), np.random.default_rng(14))
+        runs = self._check(params, X0, 10_000, 15, None if kind == "joint" else V)
+        assert runs.tau.max() > 8
+
+    @pytest.mark.parametrize("tau_max", [5, 50, 77])
+    def test_tau_max_inside_a_window(self, tau_max):
+        params, _ = default_check_model()
+        runs = self._check(params, _mode_starts(params, 1024, 3), tau_max, 16)
+        assert runs.truncated.any() and len(runs.steps) == tau_max
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_zero_and_one_row(self, n):
+        params, v = default_check_model()
+        V = np.tile(v, (n, 1))
+        taus = []
+        for seed in range(40):
+            taus.append(self._check(params, _mode_starts(params, n, seed), 10_000, seed).tau)
+            self._check(params, _mode_starts(params, n, seed, V), 10_000, seed, V)
+        assert len(taus[0]) == n
+        assert n == 0 or np.concatenate(taus).max() > 4
+
+    @pytest.mark.parametrize("n_steps", [1, 7, 70])
+    def test_without_stopping_at_meetings(self, n_steps):
+        params, _ = default_check_model()
+        runs = self._check(params, _mode_starts(params, 7, 17), n_steps, 18,
+                           stop_at_meeting=False)
+        assert len(runs.steps) == n_steps and not runs.truncated.any()
 
 
 EMPTY_BLOCK = ["search joint", "search posterior", "search clamped", "sweep joint",

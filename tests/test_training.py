@@ -793,6 +793,23 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="row 0 "):
             train(self._cfg(steps=3), (data + 1) / 2, out_dir=None)
 
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_rejects_ragged_rows(self, width):
+        rows = list(self._dataset())
+        rows[2] = np.ones(width)
+        with pytest.raises(ValueError, match="row 2 "):
+            train(self._cfg(steps=3), rows, out_dir=None)
+
+    def test_dataset_forms_train_alike(self):
+        # the dataset is checked and kept as one array; each batch becomes
+        # float64 in train_step, so every form of the same +-1 rows trains alike
+        data = self._dataset()
+        base_params, base = train(self._cfg(steps=4), data, out_dir=None)
+        for form in (list(data), data.astype(np.int8), data.tolist(), iter(list(data))):
+            params, history = train(self._cfg(steps=4), form, out_dir=None)
+            assert np.array_equal(params.as_vector(), base_params.as_vector())
+            assert [m.grad_norm for m in history] == [m.grad_norm for m in base]
+
 
 class TestUnbiasednessReport:
     def test_passes_for_correct_estimator(self, ortho_params_332):

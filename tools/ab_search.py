@@ -26,7 +26,8 @@ The sweeps start from fixed points that this tree's search finds once.
 
 For each case it prints the median seconds per sample of each side, the
 median of the per-pair ratios parent time / tree time (above 1: the tree
-is faster) and the pairs the tree won.
+is faster) and the pairs the tree won. tools/ab_coupling.py runs the MH
+couplings through the same pairing and table.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ from spindbm import data, search, training  # noqa: E402
 from spindbm.model import DbmShape, uniform_spins, v_share  # noqa: E402
 
 
-def load_parent_search(checkout: Path):
-    """The parent's spindbm/search.py as a module of this tree's spindbm package."""
-    path = checkout / "src" / "spindbm" / "search.py"
-    spec = importlib.util.spec_from_file_location("spindbm._parent_search", path)
+def load_parent_module(checkout: Path, name: str):
+    """The parent's spindbm/<name>.py as a module of this tree's spindbm package."""
+    path = checkout / "src" / "spindbm" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"spindbm._parent_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
@@ -116,30 +117,43 @@ def _same(a, b) -> bool:
     return all(np.array_equal(x, y) for p, q in zip(a, b) for x, y in zip(_arrays(p), _arrays(q)))
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--parent", required=True, type=Path,
-                   help="root of the parent checkout whose search.py is the baseline")
-    p.add_argument("--pairs", type=int, default=24)
-    args = p.parse_args(argv)
-    parent = load_parent_search(args.parent)
+def run_pairs(cases, parent, tree, pairs: int, same) -> int:
+    """Time each (name, calls, run) case in alternating pairs and print the table.
+
+    same(a, b) checks the first pair's results; a mismatch returns 1.
+    """
     print(f"{'case':<24} {'parent s':>10} {'tree s':>10} {'ratio':>7} {'wins':>7}")
-    for name, calls, run in cases():
-        if not _same(run(parent, np.random.default_rng(1)), run(search, np.random.default_rng(1))):
-            print(f"{name}: the two searches return different rows", file=sys.stderr)
+    for name, calls, run in cases:
+        if not same(run(parent, np.random.default_rng(1)), run(tree, np.random.default_rng(1))):
+            print(f"{name}: the two sides return different rows", file=sys.stderr)
             return 1
         t_parent, t_tree = [], []
-        for i in range(args.pairs):
+        for i in range(pairs):
             seed = 1000 + i
-            order = ((parent, t_parent), (search, t_tree))
+            order = ((parent, t_parent), (tree, t_tree))
             for module, times in order if i % 2 == 0 else order[::-1]:
                 times.append(_time(run, module, calls, seed))
         ratios = [a / b for a, b in zip(t_parent, t_tree)]
         wins = sum(r > 1.0 for r in ratios)
         print(f"{name:<24} {statistics.median(t_parent):>10.5f} "
               f"{statistics.median(t_tree):>10.5f} {statistics.median(ratios):>7.3f} "
-              f"{wins:>4}/{args.pairs}")
+              f"{wins:>4}/{pairs}")
     return 0
+
+
+def parse_args(argv, name: str, description: str):
+    """--parent and --pairs; name is the module the parent checkout supplies."""
+    p = argparse.ArgumentParser(description=description)
+    p.add_argument("--parent", required=True, type=Path,
+                   help=f"root of the parent checkout whose {name}.py is the baseline")
+    p.add_argument("--pairs", type=int, default=24)
+    return p.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv, "search", __doc__.split("\n")[0])
+    return run_pairs(cases(), load_parent_module(args.parent, "search"), search, args.pairs,
+                     _same)
 
 
 if __name__ == "__main__":
