@@ -37,6 +37,16 @@ class ConfigError(ValueError):
     pass
 
 
+def _seed(text: str) -> int:
+    """The argparse type of every --seed: a non-negative integer."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _existing(path: str, what: str) -> str:
     """path, or ConfigError when nothing exists there."""
     if not os.path.exists(path):
@@ -255,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train a model from a config file")
     t.add_argument("--config", required=True)
     t.add_argument("--steps", type=int, default=None)
-    t.add_argument("--seed", type=int, default=None)
+    t.add_argument("--seed", type=_seed, default=None)
     t.add_argument("--data", default=None)
     t.add_argument("--out-dir", default=None)
     t.set_defaults(func=cmd_train)
@@ -265,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--mh-steps", type=int, default=0)
     s.add_argument("--out", required=True)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--height", type=int, default=None)
     s.add_argument("--width", type=int, default=None)
     s.set_defaults(func=cmd_sample)
@@ -280,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--mask-file", default=None,
                    help=".npy boolean observed-mask for spin-row inputs")
     c.add_argument("--out", required=True)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_seed, default=0)
     c.set_defaults(func=cmd_complete)
 
     b = sub.add_parser("bench", help="coupling-time sweep over dimensionality")
@@ -288,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--replicates", type=int, default=bench_mod.DEFAULT_REPLICATES)
     b.add_argument("--arms", default="all",
                    help="'all' or comma list like mh+local_mode,gibbs+uniform")
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=_seed, default=0)
     b.add_argument("--out", default="bench.csv")
     b.add_argument("--tau-max-mh", type=int, default=bench_mod.DEFAULT_TAU_MAX_MH)
     b.add_argument("--tau-max-gibbs", type=int, default=bench_mod.DEFAULT_TAU_MAX_GIBBS)
@@ -299,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle-check",
                        help="z-test the gradient estimators against exact enumeration")
     o.add_argument("--samples", type=int, default=20_000)
-    o.add_argument("--seed", type=int, default=0)
+    o.add_argument("--seed", type=_seed, default=0)
     o.add_argument("--tau-max", type=int, default=DEFAULT_TAU_MAX_MH)
     o.set_defaults(func=cmd_oracle_check)
     return p
@@ -307,7 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error (2) or the help (0)
+        return exc.code
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -347,34 +347,37 @@ def telescope_terms(run: CoupledRun) -> list:
     return [(state, c) for state, c in coeffs.values() if c != 0]
 
 
-def telescope_rows(runs: RowRuns, keep=None):
+def telescope_rows(runs: RowRuns):
     """The telescoping sums of R runs as stacked rows: (states, coefficients, owners).
 
     As in telescope_terms, run r's sum f(x_0) + sum_{t=1}^{tau_r-1}
     [f(x_t) - f(y_{t-1})] collapses to one row per distinct state with its
     nonzero net coefficient, so each run's coefficients sum to 1; owners[k]
     is the run of row k, and the rows come in run order. A run with tau = 1
-    gives its start at coefficient 1. keep, an (R,) mask, limits the rows to
-    the runs it flags. A kept run that was truncated raises
-    CouplingTruncatedError: no row of a biased sum is returned. Runs
-    recorded without trajectories (keep_states=False) raise ValueError.
+    gives its start at coefficient 1. Any truncated run raises
+    CouplingTruncatedError, since its sum would be biased: this is the one
+    place a truncated coupling is refused. Runs recorded without trajectories
+    (keep_states=False) raise ValueError.
     """
-    kept = np.ones(len(runs.tau), dtype=bool) if keep is None else np.asarray(keep, dtype=bool)
-    if (runs.truncated & kept).any():
-        raise CouplingTruncatedError("telescoping sum over a truncated run would be biased")
+    cut = np.count_nonzero(runs.truncated)
+    if cut:
+        raise CouplingTruncatedError(
+            f"{cut} of {len(runs.tau)} coupled runs were truncated: they did not meet within "
+            f"tau_max = {runs.tau.max()} steps, and their telescoping sums would be biased; "
+            "raise tau_max")
     if not runs.steps:
         raise ValueError("runs were recorded without states (keep_states=False)")
-    start = kept.nonzero()[0]
     rows = np.concatenate([r for r, _, _ in runs.steps])
     t = np.repeat(np.arange(1, len(runs.steps) + 1), [len(r) for r, _, _ in runs.steps])
     # x_0 enters run r's sum, and x_t and y_{t-1} do for t < tau_r
-    on = ((t < runs.tau[rows]) & kept[rows]).nonzero()[0]
+    on = (t < runs.tau[rows]).nonzero()[0]
     X = pick_rows(np.concatenate([X for _, X, _ in runs.steps]), on)
     Y = pick_rows(np.concatenate([Y for _, _, Y in runs.steps]), on)
     rows = pick_rows(rows, on)
-    return _distinct(np.concatenate([pick_rows(runs.x0, start), X, Y]),
-                     np.concatenate([np.ones(start.size + len(X)), -np.ones(len(Y))]),
-                     np.concatenate([start, rows, rows]))
+    R = len(runs.tau)
+    return _distinct(np.concatenate([runs.x0, X, Y]),
+                     np.concatenate([np.ones(R + len(X)), -np.ones(len(Y))]),
+                     np.concatenate([np.arange(R), rows, rows]))
 
 
 def _distinct(states, coefs, owners):

@@ -25,11 +25,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import oracle
-from .coupling import (DEFAULT_TAU_MAX_MH, CouplingTruncatedError, _mh_chains,
-                       mh_couple_joint_rows, mh_couple_posterior_rows, telescope_rows)
+from .coupling import (DEFAULT_TAU_MAX_MH, _mh_chains, mh_couple_joint_rows,
+                       mh_couple_posterior_rows, telescope_rows)
 from .model import (DbmParams, DbmShape, DrawnStream, GradEstimate, JointState, check_visible,
-                    grad_from_rows, grad_rows, h1_field, h2_field, is_spin, keep_rows,
-                    load_params, save_params, uniform_spins, v_field, v_share)
+                    grad_from_rows, grad_rows, h1_field, h2_field, is_spin, load_params,
+                    save_params, uniform_spins, v_field, v_share)
 from .search import (gibbs_sweep_joint, gibbs_sweep_joint_rows, gibbs_sweep_posterior_rows,
                      local_search_clamped, local_search_joint_rows, local_search_posterior_rows)
 # Not called here; perfbench/tracer.py wraps these names in this module,
@@ -43,7 +43,6 @@ from .search import (gibbs_sweep_posterior, local_search_joint,  # noqa: F401
 
 ESTIMATORS = ("plain", "marginalized")
 OPTIMIZERS = ("sgd", "adam", "amsgrad")
-TRUNCATION_POLICIES = ("error", "drop_sample")
 
 
 class NonFiniteUpdateError(RuntimeError):
@@ -116,6 +115,8 @@ class TrainConfig:
     seed: int = 0
     tau_max: int = DEFAULT_TAU_MAX_MH
     estimator: str = "marginalized"
+    # "error" is its one value; the key goes with the next benchmark change,
+    # whose train-6272 workload still passes it (ROADMAP item 2).
     truncation_policy: str = "error"
     checkpoint_every: int = 100
     data: str = ""
@@ -123,16 +124,20 @@ class TrainConfig:
     resume: str = ""
 
     def validate(self) -> "TrainConfig":
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, not {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
         if self.batch_size < 1 or self.steps < 0:
             raise ValueError("batch_size must be >= 1 and steps >= 0")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.truncation_policy not in TRUNCATION_POLICIES:
-            raise ValueError(f"unknown truncation_policy {self.truncation_policy!r}")
+        if self.truncation_policy != "error":
+            raise ValueError(f"truncation_policy {self.truncation_policy!r}: drop_sample was "
+                             "removed because it biases the gradient, and 'error' is the one "
+                             "value left; a truncated coupling always raises")
         if self.tau_max < 1 or self.checkpoint_every < 1:
             raise ValueError("tau_max and checkpoint_every must be >= 1")
         return self
@@ -317,10 +322,8 @@ class DrawRows(NamedTuple):
 
     Row k belongs to draw owner[k]; the first n_pos rows are posterior
     states (weight -coefficient), the rest joint states (+coefficient), each
-    part in draw order. tau, steps and truncated are (n_draws, 2) arrays: the
-    positive and the negative phase's coupling time, search iterations and
-    truncation flag (0, 0 and False for a negative phase that did not run).
-    A draw with a truncated run has no rows.
+    part in draw order. tau and steps are (n_draws, 2) arrays: the positive
+    and the negative phase's coupling time and search iterations.
     """
 
     V: np.ndarray
@@ -332,57 +335,41 @@ class DrawRows(NamedTuple):
     n_draws: int
     tau: np.ndarray
     steps: np.ndarray
-    truncated: np.ndarray
 
 
-def _example_block(params: DbmParams, V: np.ndarray, tau_max: int, rng,
-                   truncation_policy: str = "error") -> DrawRows:
+def _example_block(params: DbmParams, V: np.ndarray, tau_max: int, rng) -> DrawRows:
     """One log-likelihood gradient draw per row of V, run as one row block.
 
     The positive stage over all rows (_positive_rows), row r clamped to
-    V[r], then the negative stage (_negative_rows) over the rows that go on.
-    Each draw's positive-phase terms enter with weight -c and its
-    negative-phase terms with +c. rng is one generator, from which each
-    stage draws all its rows' numbers in turn, so the block is a function of
-    rng's state and V; or one generator per row, from which row r draws
-    exactly what the R = 1 positive stage and then the R = 1 negative stage
-    draw from it. A truncated run raises CouplingTruncatedError (a positive
-    one before the negative stage starts) unless truncation_policy is
-    "drop_sample": a row whose positive run truncated then runs no negative
-    stage, and a row with a truncated run leaves no rows.
+    V[r], then the negative stage (_negative_rows) over all rows. Each
+    draw's positive-phase terms enter with weight -c and its negative-phase
+    terms with +c. rng is one generator, from which each stage draws all its
+    rows' numbers in turn, so the block is a function of rng's state and V;
+    or one generator per row, from which row r draws exactly what the R = 1
+    positive stage and then the R = 1 negative stage draw from it. A
+    truncated run raises CouplingTruncatedError (telescope_rows): a positive
+    one before the negative stage draws any number.
     """
     check_visible(params, V)
     s = params.shape
-    n = len(V)
-    drop = truncation_policy == "drop_sample"
-    tau = np.zeros((n, 2), dtype=np.int64)
-    steps = np.zeros((n, 2), dtype=np.int64)
-    truncated = np.zeros((n, 2), dtype=bool)
-    prun, steps[:, 0] = _positive_rows(params, V, tau_max, rng)
-    tau[:, 0], truncated[:, 0] = prun.tau, prun.truncated
-    if not drop and prun.truncated.any():
-        raise CouplingTruncatedError("a positive-phase coupling was truncated")
-    go = (~prun.truncated).nonzero()[0]  # the rows that run the negative stage
-    nrun, steps[go, 1] = _negative_rows(params, go.size, tau_max, keep_rows(rng, go))
-    tau[go, 1], truncated[go, 1] = nrun.tau, nrun.truncated
-    if not drop and nrun.truncated.any():
-        raise CouplingTruncatedError("a negative-phase coupling was truncated")
-    neg, neg_c, neg_owner = telescope_rows(nrun, ~nrun.truncated)
-    neg_owner = go[neg_owner]
-    pos, pos_c, pos_owner = telescope_rows(prun, ~truncated.any(axis=1))
+    prun, pos_steps = _positive_rows(params, V, tau_max, rng)
+    pos, pos_c, pos_owner = telescope_rows(prun)
+    nrun, neg_steps = _negative_rows(params, len(V), tau_max, rng)
+    neg, neg_c, neg_owner = telescope_rows(nrun)
     n_vh = s.n_v + s.n_h1
     return DrawRows(np.concatenate([V[pos_owner], neg[:, :s.n_v]]),
                     np.concatenate([pos[:, :s.n_h1], neg[:, s.n_v:n_vh]]),
                     np.concatenate([pos[:, s.n_h1:], neg[:, n_vh:]]),
                     np.concatenate([-pos_c, neg_c]), np.concatenate([pos_owner, neg_owner]),
-                    len(pos), n, tau, steps, truncated)
+                    len(pos), len(V), np.stack([prun.tau, nrun.tau], axis=1),
+                    np.stack([pos_steps, neg_steps], axis=1))
 
 
 def _draw_gradients(params: DbmParams, estimator: str, rows: DrawRows) -> np.ndarray:
     """Each draw's log-likelihood gradient estimate: an (n_draws, dim) array.
 
     Row d is what gradient_from_states gives for draw d's states, built
-    from the same _integrand_rows. Every draw must have rows (none dropped).
+    from the same _integrand_rows.
     """
     V, H1, H2, w = _integrand_rows(params, estimator, rows.V, rows.H1, rows.H2, rows.w,
                                    rows.n_pos)
@@ -435,7 +422,6 @@ class StepMetrics:
     mean_T_neg: float = _column(0.0, ".6g")
     grad_norm: float = _column(0.0, ".10g")
     wall_ms: float = _column(0.0, ".3f")
-    dropped: int = _column(0, "")
 
 
 _LOG_FORMATS = tuple((f.name, f.metadata["fmt"]) for f in fields(StepMetrics))
@@ -451,35 +437,27 @@ def train_step(params: DbmParams, batch, cfg: TrainConfig, rng: np.random.Genera
     gradient and the batch mean drives the optimizer. The B examples run as
     one row block (_example_block), example i on the i-th generator rng
     spawns, so it draws what the R = 1 positive and negative stages draw on
-    that generator. The chain states of the whole batch, in example
-    order and weighted by +-coefficient / kept, become the batch gradient in
-    one _integrand_rows and grad_from_rows pass.
+    that generator. The chain states of the whole batch, in example order
+    and weighted by +-coefficient / B, become the batch gradient in one
+    _integrand_rows and grad_from_rows pass. A truncated coupling raises
+    CouplingTruncatedError before the optimizer moves.
 
     Returns (new_params, StepMetrics).
     """
     if optimizer is None:
         optimizer = make_optimizer(cfg)
     V = np.asarray(batch, dtype=np.float64)
-    rows = _example_block(params, V, cfg.tau_max, rng.spawn(len(V)), cfg.truncation_policy)
-    kept = ~rows.truncated.any(axis=1)  # drop_sample reintroduces bias; offered for robustness runs
-    n_kept = np.count_nonzero(kept)
-    total, means = None, np.zeros(4)
-    if n_kept:
-        total = grad_from_rows(*_integrand_rows(params, cfg.estimator, rows.V, rows.H1,
-                                                rows.H2, rows.w * (1.0 / n_kept), rows.n_pos))
-        means = np.mean(np.hstack([rows.tau, rows.steps])[kept].astype(np.float64), axis=0)
-    if total is None:
-        new_params, grad_norm = params.copy(), 0.0
-    else:
-        new_params = optimizer.update(params, total)
-        grad_norm = total.norm()
+    rows = _example_block(params, V, cfg.tau_max, rng.spawn(len(V)))
+    total = grad_from_rows(*_integrand_rows(params, cfg.estimator, rows.V, rows.H1, rows.H2,
+                                            rows.w * (1.0 / len(V)), rows.n_pos))
+    means = np.mean(np.hstack([rows.tau, rows.steps]).astype(np.float64), axis=0)
+    new_params = optimizer.update(params, total)
     metrics = StepMetrics(
         mean_tau_pos=float(means[0]),
         mean_tau_neg=float(means[1]),
         mean_T_pos=float(means[2]),
         mean_T_neg=float(means[3]),
-        grad_norm=grad_norm,
-        dropped=len(V) - n_kept,
+        grad_norm=total.norm(),
     )
     return new_params, metrics
 
@@ -621,7 +599,8 @@ def train(cfg: TrainConfig, dataset, out_dir=None, initial_params: DbmParams = N
     out_dir: when given, checkpoints land there (initial, periodic, final)
     and its train_log.csv is appended to.
     Returns (params, [StepMetrics per step]). A step whose gradient norm is
-    not finite is logged, then raises NonFiniteUpdateError.
+    not finite is logged, then raises NonFiniteUpdateError; a step with a
+    truncated coupling raises CouplingTruncatedError and is not logged.
     """
     cfg.validate()
     data = _spin_rows(dataset, cfg.shape.n_v)
@@ -702,9 +681,10 @@ def unbiasedness_report(params: DbmParams, v: np.ndarray, n_samples: int, seed: 
 
     The default estimator's draws run in blocks of DRAW_BLOCK
     (_example_block), all on one generator; a truncated coupling raises
-    CouplingTruncatedError. estimate_fn(params, v, rng) -> GradEstimate is
-    injectable, and is called once per draw, so a biased estimator (for
-    example a short-run Gibbs negative phase) can be shown to fail.
+    CouplingTruncatedError, so every draw is averaged or none is.
+    estimate_fn(params, v, rng) -> GradEstimate is injectable, and is called
+    once per draw, so a biased estimator (for example a short-run Gibbs
+    negative phase) can be shown to fail.
     Components whose estimates never vary must match the oracle exactly and
     are reported with z = 0.
     """

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spindbm import DbmParams, DbmShape, TrainConfig, load_params, save_params
-from spindbm.cli import CONFIG_KEYS, build_train_config, main, parse_config_file
+from spindbm.cli import CONFIG_KEYS, ConfigError, build_train_config, main, parse_config_file
 from spindbm.data import read_pgm
 
 from conftest import random_params
@@ -49,11 +49,17 @@ class TestTrain:
         assert main(["train", "--config", cfg]) == 2
         assert "unknown key" in capsys.readouterr().err
 
-    def test_malformed_value_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.txt", n_v=4, steps="many", data="synthetic:2x4",
-                           out_dir=str(tmp_path / "out"))
+    @pytest.mark.parametrize("key, value", [
+        ("steps", "many"), ("learning_rate", "nan"), ("learning_rate", "inf"),
+        ("learning_rate", "0.0"), ("seed", "-1"), ("truncation_policy", "drop_sample")])
+    def test_malformed_value_exits_2_and_writes_nothing(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.txt", n_v=4, data="synthetic:2x4", out_dir=str(out),
+                           **{"steps": 2, key: value})
         assert main(["train", "--config", cfg]) == 2
-        assert "many" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert value in err and (key == "steps" or f"{key} " in err)
+        assert not out.exists()
 
     def test_missing_out_dir_exits_2_and_writes_nothing(self, tmp_path, tmp_path_factory,
                                                         monkeypatch, capsys):
@@ -81,7 +87,7 @@ class TestTrain:
         lines = (out / "train_log.csv").read_text().splitlines()
         rows = [l for l in lines if l and not l.startswith("#")]
         assert rows[0] == ("step,mean_tau_pos,mean_tau_neg,mean_T_pos,mean_T_neg,grad_norm,"
-                           "wall_ms,dropped")
+                           "wall_ms")
         assert len(rows) == 201
         assert rows[-1].split(",")[0] == "200"
 
@@ -193,16 +199,22 @@ class TestConfigKeys:
     def test_every_field_round_trips_through_a_config_file(self, tmp_path):
         cfg = TrainConfig(DbmShape(5, 4, 3), learning_rate=0.25, optimizer="amsgrad",
                           batch_size=3, steps=7, seed=11, tau_max=123, estimator="plain",
-                          truncation_policy="drop_sample", checkpoint_every=2,
-                          data="synthetic:2x5", out_dir=str(tmp_path / "out"),
-                          resume=str(tmp_path / "c.udbm"))
+                          checkpoint_every=2, data="synthetic:2x5",
+                          out_dir=str(tmp_path / "out"), resume=str(tmp_path / "c.udbm"))
         defaults = TrainConfig(DbmShape(1, 1, 1))
-        # no field can come back equal by falling back to its default
+        # no field can come back equal by falling back to its default, but
+        # truncation_policy, whose one value is its default
         assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
-                   for f in fields(TrainConfig))
+                   for f in fields(TrainConfig) if f.name != "truncation_policy")
         assert [k for k, _ in cfg.items()] == list(CONFIG_KEYS)
-        path = write_config(tmp_path / "c.txt", **dict(cfg.items()))
+        values = dict(cfg.items())
+        path = write_config(tmp_path / "c.txt", **values)
+        assert parse_config_file(path)["truncation_policy"] == "error"
         assert build_train_config(parse_config_file(path), {}) == cfg
+        values["truncation_policy"] = "drop_sample"
+        path = write_config(tmp_path / "c.txt", **values)
+        with pytest.raises(ConfigError, match="drop_sample was removed"):
+            build_train_config(parse_config_file(path), {})
 
     def test_log_header_lines(self, tmp_path):
         out = tmp_path / "out"
@@ -526,3 +538,23 @@ class TestOracleCheck:
         assert main(["oracle-check", "--samples", "3000"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("command", ["train", "sample", "complete", "bench", "oracle-check"])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_bad_seed_flag_exits_2_and_writes_nothing(tmp_path, capsys, command, seed):
+    # every subcommand's --seed takes one argparse type: a non-negative integer
+    out = tmp_path / "out"
+    ckpt = bias_only_checkpoint(tmp_path / "m.udbm", [1.0, -1.0])
+    np.save(tmp_path / "rows.npy", np.array([[1, 1]], dtype=np.int8))
+    np.save(tmp_path / "mask.npy", np.array([True, False]))
+    args = {"train": ["--config", write_config(tmp_path / "c.txt", n_v=2, steps=1,
+                                                 data="synthetic:2x2"), "--out-dir", str(out)],
+            "sample": ["--checkpoint", ckpt, "--n", "1", "--out", str(out)],
+            "complete": ["--checkpoint", ckpt, "--input", str(tmp_path / "rows.npy"),
+                         "--mask-file", str(tmp_path / "mask.npy"), "--out", str(out)],
+            "bench": ["--dims", "2", "--replicates", "1", "--threads", "1", "--out", str(out)],
+            "oracle-check": ["--samples", "1000"]}[command]
+    assert main([command, *args, "--seed", seed]) == 2
+    assert f"--seed: expected a non-negative integer, got '{seed}'" in capsys.readouterr().err
+    assert not out.exists()

@@ -307,8 +307,10 @@ class TestMhRows:
         params = random_params(DbmShape(3, 3, 2), seed=8)
         rng = np.random.default_rng(10)
         runs = mh_couple_joint_rows(params, uniform_spins((200, 8), rng), 1, rng)
-        assert runs.truncated.any()
-        with pytest.raises(CouplingTruncatedError):
+        cut = np.count_nonzero(runs.truncated)
+        assert cut
+        with pytest.raises(CouplingTruncatedError, match=f"^{cut} of 200 coupled runs .* "
+                           "within tau_max = 1 steps.*; raise tau_max$"):
             telescope_rows(runs)
 
     @pytest.mark.parametrize("kind", ["joint", "posterior"])
@@ -518,7 +520,7 @@ class TestEmptyBlocks:
                                                    (0,)]
             assert rows.w.dtype == np.float64
             assert (rows.n_pos, rows.n_draws) == (0, 0)
-            assert rows.tau.shape == rows.steps.shape == rows.truncated.shape == (0, 2)
+            assert rows.tau.shape == rows.steps.shape == (0, 2)
         else:
             assert sample(params, 0, int(entry[-1]), rng=rng) == []
         assert rng.bit_generator.state == before
@@ -674,44 +676,56 @@ class TestRowStreams:
     @pytest.mark.parametrize("tau_max", [2, 10_000])
     def test_example_block_on_its_own_generators(self, tau_max):
         # each row draws what the positive, then the negative stage draw at
-        # R = 1 on its generator; under drop_sample a truncated positive run
-        # ends the row's draws, and a truncated run leaves the row without states
+        # R = 1 on its generator. A truncated run raises: a positive one before
+        # the negative stage draws a number, a negative one after it. The blocks
+        # are all rows, the rows whose positive run meets, and the rows whose
+        # runs both meet
         seen = {"long": 0, "pos_cut": 0, "neg_cut": 0}
         for i, params in enumerate(_stream_models()):
             s = params.shape
             V = uniform_spins((R, s.n_v), np.random.default_rng(i))
-            gens = _gens(1100 + i, R)
-            block = _example_block(params, V, tau_max, gens, "drop_sample")
-            ones = _gens(1100 + i, R)
-            for r, g in enumerate(ones):
-                prun, t_p = _positive_rows(params, V[r:r + 1], tau_max, g)
-                assert (block.tau[r, 0], block.steps[r, 0]) == (prun.tau[0], t_p[0])
-                assert block.truncated[r, 0] == prun.truncated[0]
-                mine = block.owner == r
-                if prun.truncated[0]:
-                    seen["pos_cut"] += 1
-                    assert (block.tau[r, 1], block.steps[r, 1], block.truncated[r, 1]) == (0, 0, False)
-                    assert not mine.any()
+            after_pos, after_both = _gens(1100 + i, R), _gens(1100 + i, R)
+            stages = []
+            for r in range(R):
+                _positive_rows(params, V[r:r + 1], tau_max, after_pos[r])
+                stages.append((_positive_rows(params, V[r:r + 1], tau_max, after_both[r]),
+                               _negative_rows(params, 1, tau_max, after_both[r])))
+            pos_cut = np.array([prun.truncated[0] for (prun, _), _ in stages])
+            neg_cut = np.array([nrun.truncated[0] for _, (nrun, _) in stages])
+            blocks = {tuple(np.flatnonzero(keep)) for keep in (
+                np.ones(R, dtype=bool), ~pos_cut, ~pos_cut & ~neg_cut)}
+            for rows in map(list, blocks):
+                every = _gens(1100 + i, R)
+                gens = [every[r] for r in rows]
+                if pos_cut[rows].any() or neg_cut[rows].any():
+                    with pytest.raises(CouplingTruncatedError, match="raise tau_max"):
+                        _example_block(params, V[rows], tau_max, gens)
+                    cut = "pos_cut" if pos_cut[rows].any() else "neg_cut"
+                    seen[cut] += 1
+                    drawn = after_pos if cut == "pos_cut" else after_both
+                    # the same draws, and no more
+                    assert all(g.bit_generator.state == drawn[r].bit_generator.state
+                               for g, r in zip(gens, rows))
                     continue
-                nrun, t_n = _negative_rows(params, 1, tau_max, g)
-                assert (block.tau[r, 1], block.steps[r, 1]) == (nrun.tau[0], t_n[0])
-                assert block.truncated[r, 1] == nrun.truncated[0]
-                seen["long"] += (prun.tau[0] > 1) + (nrun.tau[0] > 1)
-                if nrun.truncated[0]:
-                    seen["neg_cut"] += 1
-                    assert not mine.any()
-                    continue
-                rows = np.hstack([block.V, block.H1, block.H2])
-                pos = mine & (np.arange(len(mine)) < block.n_pos)
-                terms = ((pos, V[r], _run_of(prun, 0, (0, s.n_h1)), -1.0),
-                         (mine & ~pos, V[r, :0], _run_of(nrun, 0, params.sizes), 1.0))
-                for sel, v, run, sign in terms:
-                    want = {np.concatenate([v, x.concat()]).tobytes(): sign * c
-                            for x, c in telescope_terms(run)}
-                    assert dict(zip((a.tobytes() for a in rows[sel]), block.w[sel])) == want
-            assert _same_streams_left(gens, ones)
-            assert np.all(np.diff(block.owner[:block.n_pos]) >= 0)  # example order
-            assert np.all(np.diff(block.owner[block.n_pos:]) >= 0)
+                block = _example_block(params, V[rows], tau_max, gens)
+                states = np.hstack([block.V, block.H1, block.H2])
+                for k, r in enumerate(rows):
+                    (prun, t_p), (nrun, t_n) = stages[r]
+                    assert (block.tau[k, 0], block.steps[k, 0]) == (prun.tau[0], t_p[0])
+                    assert (block.tau[k, 1], block.steps[k, 1]) == (nrun.tau[0], t_n[0])
+                    seen["long"] += (prun.tau[0] > 1) + (nrun.tau[0] > 1)
+                    mine = block.owner == k
+                    pos = mine & (np.arange(len(mine)) < block.n_pos)
+                    terms = ((pos, V[r], _run_of(prun, 0, (0, s.n_h1)), -1.0),
+                             (mine & ~pos, V[r, :0], _run_of(nrun, 0, params.sizes), 1.0))
+                    for sel, v, run, sign in terms:
+                        want = {np.concatenate([v, x.concat()]).tobytes(): sign * c
+                                for x, c in telescope_terms(run)}
+                        assert dict(zip((a.tobytes() for a in states[sel]), block.w[sel])) == want
+                assert all(g.bit_generator.state == after_both[r].bit_generator.state
+                           for g, r in zip(gens, rows))
+                assert np.all(np.diff(block.owner[:block.n_pos]) >= 0)  # example order
+                assert np.all(np.diff(block.owner[block.n_pos:]) >= 0)
         assert seen["long"] > 0
         if tau_max == 2:
             assert seen["pos_cut"] > 0 and seen["neg_cut"] > 0

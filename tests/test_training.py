@@ -208,17 +208,14 @@ def _reference_batch_gradient(params, batch, cfg, rng):
     """Per-example sum of per-state outer products over the streams train_step uses.
 
     Example i runs the one-state phases (posterior_chain, then joint_chain)
-    on the i-th spawned generator. Returns (mean gradient over kept
-    examples, dropped, tau > 1 runs, telescoping terms cancelled to zero).
+    on the i-th spawned generator. Returns (mean gradient over the batch,
+    tau > 1 runs, telescoping terms cancelled to zero).
     """
     from spindbm.coupling import telescope_terms
-    total, kept, dropped, long_runs, cancelled = 0.0, 0, 0, 0, 0
+    total, long_runs, cancelled = 0.0, 0, 0
     for v, sub in zip(batch, rng.spawn(len(batch))):
         prun, _ = posterior_chain(params, v, cfg.tau_max, sub)
-        nrun = None if prun.truncated else joint_chain(params, cfg.tau_max, sub)[0]
-        if nrun is None or nrun.truncated:
-            dropped += 1
-            continue
+        nrun, _ = joint_chain(params, cfg.tau_max, sub)
         for run in (prun, nrun):
             if run.tau > 1:
                 long_runs += 1
@@ -230,8 +227,7 @@ def _reference_batch_gradient(params, batch, cfg, rng):
         neg = _literal_telescope(nrun, lambda x: _reference_integrand(
             params, cfg.estimator, x.v, x.h1, x.h2, True))
         total = total + neg - pos
-        kept += 1
-    return total / kept, dropped, long_runs, cancelled
+    return total / len(batch), long_runs, cancelled
 
 
 def _spin_batch(seed, n, n_v):
@@ -258,59 +254,12 @@ class TestBatchGradient:
             batch = _spin_batch(seed, 6, 4)
             opt = _Capture()
             _, m = train_step(params, batch, cfg, rng_for(seed, 1), opt)
-            want, dropped, n_long, n_cancelled = _reference_batch_gradient(
+            want, n_long, n_cancelled = _reference_batch_gradient(
                 params, batch, cfg, rng_for(seed, 1))
-            assert m.dropped == dropped == 0
             _assert_rel_close(opt.grad, want)
             long_runs += n_long
             cancelled += n_cancelled
         assert long_runs > 0 and cancelled > 0  # the cases exercised tau > 1 and cancellation
-
-    @pytest.mark.parametrize("estimator", ["plain", "marginalized"])
-    def test_drop_sample_leaves_dropped_example_out(self, estimator):
-        # at tau_max = 1 the first example's negative run truncates after its
-        # positive run succeeded; its positive states must not reach the sum
-        params = random_params(DbmShape(4, 3, 2), seed=3, scale=0.3)
-        cfg = TrainConfig(shape=params.shape, estimator=estimator, tau_max=1,
-                          truncation_policy="drop_sample")
-        batch = _spin_batch(2, 3, 4)
-        opt = _Capture()
-        _, m = train_step(params, batch, cfg, rng_for(2, 1), opt)
-        want, dropped, _, _ = _reference_batch_gradient(params, batch, cfg, rng_for(2, 1))
-        assert m.dropped == dropped == 1
-        _assert_rel_close(opt.grad, want)
-
-    @pytest.mark.parametrize("estimator", ["plain", "marginalized"])
-    def test_drop_sample_leaves_truncated_positive_run_out(self, estimator):
-        # at tau_max = 1 some example's positive run truncates: that example
-        # runs no negative stage, and every other one draws what its R = 1
-        # stages draw alone
-        params = random_params(DbmShape(4, 3, 2), seed=3, scale=0.3)
-        cfg = TrainConfig(shape=params.shape, estimator=estimator, tau_max=1,
-                          truncation_policy="drop_sample")
-        for seed in range(100):
-            batch = _spin_batch(seed, 4, 4)
-            gens = rng_for(seed, 1).spawn(4)
-            rows = training._example_block(params, np.array(batch), 1, gens, "drop_sample")
-            cut = rows.truncated[:, 0]
-            if cut.any() and not rows.truncated.any(axis=1).all():
-                break
-        else:
-            pytest.fail("no batch with a truncated positive run and a kept example")
-        assert np.all(rows.tau[cut, 1] == 0) and np.all(rows.steps[cut, 1] == 0)
-        assert not np.isin(np.flatnonzero(cut), rows.owner).any()
-        for r, alone in enumerate(rng_for(seed, 1).spawn(4)):
-            V = np.array(batch[r:r + 1])
-            prun, _ = training._positive_rows(params, V, 1, alone)
-            assert prun.truncated[0] == cut[r]
-            if not prun.truncated[0]:
-                training._negative_rows(params, 1, 1, alone)
-            assert gens[r].random() == alone.random()  # the same draws, and no more
-        opt = _Capture()
-        _, m = train_step(params, batch, cfg, rng_for(seed, 1), opt)
-        want, dropped, _, _ = _reference_batch_gradient(params, batch, cfg, rng_for(seed, 1))
-        assert m.dropped == dropped == np.count_nonzero(rows.truncated.any(axis=1))
-        _assert_rel_close(opt.grad, want)
 
     @pytest.mark.parametrize("estimator", ["plain", "marginalized"])
     def test_block_step_is_the_per_example_step_bit_for_bit(self, estimator):
@@ -763,21 +712,37 @@ class TestTrainLoop:
         got = [(m.mean_tau_pos, m.mean_tau_neg, m.mean_T_pos, m.mean_T_neg) for m in history]
         assert got == self.PINNED_CHAIN_STATS
 
-    def test_dropped_column_logged(self, tmp_path):
-        out = tmp_path / "drop"
-        _, history = train(self._cfg(tau_max=1, truncation_policy="drop_sample"),
-                           self._dataset(), out_dir=str(out))
-        rows = [l.split(",") for l in (out / "train_log.csv").read_text().splitlines()
-                if l and not l.startswith("#")]
-        col = rows[0].index("dropped")
-        assert [int(r[col]) for r in rows[1:]] == [m.dropped for m in history]
-        assert sum(m.dropped for m in history) > 0
+    def test_truncated_step_raises_unlogged(self, tmp_path):
+        # at tau_max = 1 some step's coupling truncates: train raises there,
+        # and writes neither a log row nor a checkpoint for that step
+        out = tmp_path / "cut"
+        cfg = self._cfg(tau_max=1, checkpoint_every=1)
+        with pytest.raises(CouplingTruncatedError, match="raise tau_max"):
+            train(cfg, self._dataset(), out_dir=str(out))
+        rows = [l.split(",")[0] for l in (out / "train_log.csv").read_text().splitlines()
+                if l and not l.startswith("#")][1:]
+        done = len(rows)  # steps 1..done ran; step done + 1 raised
+        assert rows == [str(k) for k in range(1, done + 1)]
+        assert sorted(p.name for p in out.glob("ckpt-*")) == [
+            f"ckpt-{k:06d}.udbm" for k in range(done + 1)]
+        assert len(train(self._cfg(tau_max=1, steps=done), self._dataset())[1]) == done
+        with pytest.raises(CouplingTruncatedError):
+            train(self._cfg(tau_max=1, steps=done + 1), self._dataset())
 
     def test_log_row_format_pinned(self):
         m = StepMetrics(step=7, mean_tau_pos=1.25, mean_tau_neg=1 / 3, mean_T_pos=2.0,
-                        mean_T_neg=12345678.9, grad_norm=0.1234567890123, wall_ms=12.34567,
-                        dropped=2)
-        assert training._format_row(m) == "7,1.25,0.333333,2,1.23457e+07,0.123456789,12.346,2"
+                        mean_T_neg=12345678.9, grad_norm=0.1234567890123, wall_ms=12.34567)
+        assert training._format_row(m) == "7,1.25,0.333333,2,1.23457e+07,0.123456789,12.346"
+
+    @pytest.mark.parametrize("bad", [{"learning_rate": np.nan}, {"learning_rate": np.inf},
+                                     {"learning_rate": 0.0}, {"seed": -1},
+                                     {"truncation_policy": "drop_sample"}], ids=str)
+    def test_rejects_bad_config_before_writing(self, tmp_path, bad):
+        # a NaN learning rate would turn every parameter NaN at step 1
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} "):
+            train(self._cfg(**bad), self._dataset(), out_dir=str(out))
+        assert not out.exists()
 
     def test_dataset_width_mismatch(self):
         with pytest.raises(ValueError):
